@@ -12,6 +12,7 @@
 #include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/solve_many.hpp"
+#include "fault/govern.hpp"
 #include "graph/steiner.hpp"
 #include "support/thread_pool.hpp"
 
@@ -103,7 +104,7 @@ BENCHMARK(BM_AuxGraphBuild)->Arg(10)->Arg(20)->Arg(30);
 // ---------------------------------------------------------------------------
 // Full-pipeline benchmarks for the parallel solve path (DESIGN.md "Parallel
 // solve & caching"): serial memo-free oracle vs EdWeightCache + 8-thread
-// pool, and per-request loops vs solve_many batching. Rician channels make
+// pool, and per-request loops vs the governed batch. Rician channels make
 // every min-cost evaluation a bisection over Marcum-Q tail sums — the
 // workload the cache exists for. scripts/bench_gate.sh asserts the cached +
 // pooled pipeline is >= 2x the serial baseline on the largest scenario here.
@@ -178,12 +179,15 @@ void BM_SweepSolveManyBatch(benchmark::State& state) {
   core::Tveg tveg = pipeline_tveg(static_cast<NodeId>(state.range(0)));
   tveg.attach_cache(std::make_shared<core::EdWeightCache>());
   const auto requests = sweep_requests(static_cast<NodeId>(state.range(0)));
-  core::EedcbOptions options;
-  options.pool = &bench_pool();
+  fault::GovernOptions options;
+  options.eedcb.pool = &bench_pool();
   for (auto _ : state) {
+    // The batch's one DTS build is part of the timed work.
+    const DiscreteTimeSet dts = tveg.build_dts(options.eedcb.dts);
     double total = 0;
-    for (const auto& r : core::solve_many(tveg, requests, options))
-      total += r.schedule.total_cost();
+    for (const auto& r :
+         fault::solve_many_governed(tveg, dts, requests, options))
+      total += r.outcome.value().schedule.total_cost();
     benchmark::DoNotOptimize(total);
   }
 }

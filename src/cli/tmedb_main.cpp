@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -118,6 +119,22 @@ std::size_t parse_cache_budget(const Args& args) {
   return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
 }
 
+/// --deadline / --from / --to: a time in (0, horizon] of the loaded trace,
+/// so an out-of-range value fails as a usage error naming the horizon
+/// instead of deep inside instance validation.
+Time parse_deadline(const Args& args, const std::string& key, Time fallback,
+                    const trace::ContactTrace& trace) {
+  const Time t = args.get_num(key, fallback);
+  if (!(t > 0) || t > trace.horizon()) {
+    std::ostringstream msg;
+    msg << "--" << key << " expects a time in (0, " << trace.horizon()
+        << "], the trace horizon; got " << t
+        << (args.has(key) ? "" : " (the default)");
+    throw UsageError(msg.str());
+  }
+  return t;
+}
+
 /// Seeds the pipeline phases so exported phase_totals carry the same keys
 /// for every algorithm, then turns tracing on.
 void enable_observability() {
@@ -171,7 +188,7 @@ int usage() {
       "  tmedb stats TRACE\n"
       "  tmedb run TRACE [--algorithm EEDCB|GREED|RAND|FR-EEDCB|FR-GREED|FR-RAND]\n"
       "                  [--source ID] [--deadline T] [--seed S] [--trials K]\n"
-      "                  [--steiner spt|greedy] [--level L]\n"
+      "                  [--steiner greedy|spt] [--level L]\n"
       "                  [--threads N] [--no-cache]\n"
       "                  [--save-schedule FILE]\n"
       "                  [--faults PLAN] [--solver-budget-ms N]\n"
@@ -190,6 +207,10 @@ int usage() {
       "  tmedb evaluate TRACE SCHEDULE [--source ID] [--deadline T]\n"
       "                  [--trials K] [--reliability Q] [--interference 1]\n"
       "\n"
+      "--steiner picks EEDCB's Steiner solver: greedy, the default\n"
+      "(recursive greedy at --level L, default 2), or spt (union of shortest\n"
+      "paths + prune; faster, no approximation bound). --deadline, --from\n"
+      "and --to must lie in (0, H], H the trace horizon.\n"
       "--metrics-out writes an obs snapshot (JSON, or CSV when FILE ends in\n"
       ".csv); --trace prints the phase tree to stderr.\n"
       "--trace-out records thread-aware spans (phases, pool tasks,\n"
@@ -327,9 +348,12 @@ int cmd_sweep(const Args& args) {
   arm_tracing(args);
   const auto trace = load_trace(args.positional()[2]);
   const auto source = static_cast<NodeId>(args.get_num("source", 0));
-  const Time from = args.get_num("from", 2000);
-  const Time to = args.get_num("to", 6000);
+  const Time from = parse_deadline(args, "from", 2000, trace);
+  const Time to = parse_deadline(args, "to", 6000, trace);
   const Time step = args.get_num("step", 500);
+  if (!(step > 0))
+    throw UsageError("--step expects a positive time, got " +
+                     args.get("step", "?"));
   const auto seed = static_cast<std::uint64_t>(args.get_num("seed", 1));
 
   sim::Workbench::Options bench_options;
@@ -414,7 +438,7 @@ int cmd_run(const Args& args) {
   }
 
   const auto source = static_cast<NodeId>(args.get_num("source", 0));
-  const Time deadline = args.get_num("deadline", 2000);
+  const Time deadline = parse_deadline(args, "deadline", 2000, trace);
   const auto seed = static_cast<std::uint64_t>(args.get_num("seed", 1));
   const auto trials = static_cast<std::size_t>(args.get_num("trials", 2000));
 
@@ -433,11 +457,15 @@ int cmd_run(const Args& args) {
   arm_tracing(args);
 
   sim::Workbench::Options bench_options;
-  const std::string steiner = args.get("steiner", "spt");
+  const std::string steiner = args.get("steiner", "greedy");
   if (steiner == "greedy") {
     bench_options.steiner_method = core::SteinerMethod::kRecursiveGreedy;
     bench_options.steiner_level =
-        static_cast<int>(args.get_num("level", 2));
+        static_cast<int>(args.get_num("level", bench_options.steiner_level));
+  } else if (steiner == "spt") {
+    bench_options.steiner_method = core::SteinerMethod::kShortestPath;
+  } else {
+    throw UsageError("--steiner expects greedy or spt, got '" + steiner + "'");
   }
   bench_options.threads = parse_threads(args);
   bench_options.use_cache = !args.has("no-cache");
@@ -617,7 +645,7 @@ int cmd_evaluate(const Args& args) {
       core::read_schedule_file(args.positional()[3]);
 
   const auto source = static_cast<NodeId>(args.get_num("source", 0));
-  const Time deadline = args.get_num("deadline", 2000);
+  const Time deadline = parse_deadline(args, "deadline", 2000, trace);
   const auto trials = static_cast<std::size_t>(args.get_num("trials", 2000));
 
   const sim::Workbench bench(trace, sim::paper_radio());

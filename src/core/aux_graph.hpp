@@ -71,7 +71,8 @@ class AuxGraph {
   /// Source vertex u_{s,0} for an alternative source node. The transmission
   /// structure is source-independent, so one AuxGraph built at a deadline
   /// serves every source/target combination at that deadline — the batching
-  /// lever of solve_many(). Requires s's first DTS point to be time 0.
+  /// lever of fault::solve_many_governed(). Requires s's first DTS point to
+  /// be time 0.
   graph::VertexId source_vertex_for(NodeId s) const;
   /// Terminal vertices for an alternative instance sharing this graph's
   /// TVEG and deadline.

@@ -1,20 +1,12 @@
-// Batched EEDCB solving for scenario sweeps.
+// Batch requests: one EEDCB instance of a sweep, minus the shared TVEG.
 //
-// A sweep (benchmark panel, Monte-Carlo study, CLI batch) solves many
-// instances over ONE TVEG that differ only in source / deadline / targets /
-// ε / budget. Solving them independently rebuilds the DTS, the auxiliary
-// graph, and the Steiner solver's shortest-path trees from scratch each
-// time, although all three depend only on (TVEG, dts options, deadline).
-// solve_many() amortizes them: one DTS for the whole batch, one auxiliary
-// graph + SteinerSolver per distinct deadline (the solver's Dijkstra-tree
-// cache then serves every request of the group). Results are byte-identical
-// to calling run_eedcb once per request — the shared tail is the same
-// run_eedcb_on_aux code path (tests/diff pins this).
+// The batch itself is fault::solve_many_governed (fault/govern.hpp): one
+// DTS for the whole batch, one auxiliary graph + Steiner solver per
+// distinct deadline, per-request budgets whose defaults mean no limit.
 #pragma once
 
 #include <vector>
 
-#include "core/eedcb.hpp"
 #include "core/schedule.hpp"
 #include "core/tveg.hpp"
 
@@ -34,21 +26,16 @@ struct SolveRequest {
 
 /// The TmedbInstance a request denotes over `tveg` (what run_eedcb would be
 /// handed for the equivalent one-shot solve).
-TmedbInstance to_instance(const Tveg& tveg, const SolveRequest& request);
-
-/// Solves every request over one shared DTS, grouping requests with equal
-/// deadlines onto one auxiliary graph and Steiner solver. Results are in
-/// request order and byte-identical to per-request run_eedcb calls with the
-/// same options.
-std::vector<SchedulerResult> solve_many(
-    const Tveg& tveg, const std::vector<SolveRequest>& requests,
-    const EedcbOptions& options = {});
-
-/// As above over a caller-provided DTS (lets a workbench that already built
-/// one skip the rebuild).
-std::vector<SchedulerResult> solve_many(
-    const Tveg& tveg, const DiscreteTimeSet& dts,
-    const std::vector<SolveRequest>& requests,
-    const EedcbOptions& options = {});
+inline TmedbInstance to_instance(const Tveg& tveg,
+                                 const SolveRequest& request) {
+  TmedbInstance instance;
+  instance.tveg = &tveg;
+  instance.source = request.source;
+  instance.deadline = request.deadline;
+  instance.epsilon = request.epsilon;
+  instance.budget = request.budget;
+  instance.targets = request.targets;
+  return instance;
+}
 
 }  // namespace tveg::core

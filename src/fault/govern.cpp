@@ -29,6 +29,9 @@ struct GovernCounters {
   obs::Counter& cancelled;
   obs::Counter& errors;
   obs::Counter& shed;
+  obs::Counter& batches;
+  obs::Counter& batch_requests;
+  obs::Counter& aux_reuses;
 
   static GovernCounters& get() {
     auto& registry = obs::MetricsRegistry::global();
@@ -39,6 +42,9 @@ struct GovernCounters {
         registry.counter(obs::keys::kGovernCancelled),
         registry.counter(obs::keys::kGovernErrors),
         registry.counter(obs::keys::kGovernShed),
+        registry.counter(obs::keys::kBatchSolves),
+        registry.counter(obs::keys::kBatchRequests),
+        registry.counter(obs::keys::kBatchAuxReuses),
     };
     return c;
   }
@@ -75,20 +81,6 @@ void shed_to_greed(const core::TmedbInstance& instance,
 }  // namespace
 
 std::vector<GovernedSolve> solve_many_governed(
-    const core::Tveg& tveg, const std::vector<core::SolveRequest>& requests,
-    const GovernOptions& options) {
-  const DiscreteTimeSet dts = tveg.build_dts(options.eedcb.dts);
-  return solve_many_governed(tveg, dts, requests, options);
-}
-
-std::vector<GovernedSolve> solve_many_governed(
-    const core::Tveg& tveg, const DiscreteTimeSet& dts,
-    const std::vector<core::SolveRequest>& requests,
-    const GovernOptions& options) {
-  return solve_many_governed(tveg, dts, requests, options, {});
-}
-
-std::vector<GovernedSolve> solve_many_governed(
     const core::Tveg& tveg, const DiscreteTimeSet& dts,
     const std::vector<core::SolveRequest>& requests,
     const GovernOptions& options,
@@ -105,10 +97,10 @@ std::vector<GovernedSolve> solve_many_governed(
   if (options.stall_ms > 0)
     watchdog.emplace(support::Watchdog::Options{options.stall_ms, 0});
 
-  // Same grouping as core::solve_many — by deadline, exact equality, in
-  // first-appearance order — so un-governed requests reuse aux graphs and
-  // Dijkstra-tree caches in the identical sequence and their schedules stay
-  // byte-identical to the ungoverned batch.
+  // Group by deadline (exact equality — sweeps repeat the same double), in
+  // first-appearance order for determinism. The aux graph is source- and
+  // target-independent (AuxGraph::source_vertex_for / terminals_for), so
+  // one graph + solver serves the whole group.
   struct Group {
     Time deadline;
     std::vector<std::size_t> indices;
@@ -129,6 +121,7 @@ std::vector<GovernedSolve> solve_many_governed(
   }
 
   std::size_t attempted = 0;  // admission control, in processing order
+  std::size_t aux_reuses = 0;  // requests served by an already-built graph
   for (const Group& group : groups) {
     // Lazily built: the first request of the group that survives admission
     // pays for the build under ITS budget, so an aux-graph timeout is that
@@ -169,7 +162,9 @@ std::vector<GovernedSolve> solve_many_governed(
       if (watchdog.has_value()) watch.emplace(*watchdog, source);
 
       try {
-        if (!aux.has_value()) {
+        if (aux.has_value()) {
+          ++aux_reuses;
+        } else {
           aux.emplace(instance, dts,
                       core::AuxGraph::Options{
                           .power_expansion = options.eedcb.power_expansion,
@@ -199,6 +194,9 @@ std::vector<GovernedSolve> solve_many_governed(
       }
     }
   }
+  counters.batches.add(1);
+  counters.batch_requests.add(requests.size());
+  counters.aux_reuses.add(aux_reuses);
   return results;
 }
 

@@ -1,12 +1,19 @@
-// Per-request resource governance for batched solves (robustness subsystem,
-// layer 3 — above the fallback ladder of degrade.hpp).
+// The batch entry point: many EEDCB requests over one TVEG, with
+// per-request resource governance (robustness subsystem, layer 3 — above
+// the fallback ladder of degrade.hpp).
 //
-// core::solve_many answers a poisoned batch the only way it can: the first
-// request that times out or throws aborts every request behind it. The
-// governed variant isolates requests instead — each one runs under its own
-// support::Budget (deadline + cancel token + shared memory ledger) and
-// returns its own support::Result, so one pathological instance costs the
-// batch exactly one error slot:
+// A sweep (benchmark panel, Monte-Carlo study, CLI batch) solves many
+// instances over ONE TVEG that differ only in source / deadline / targets /
+// ε / budget. The batch shares one caller-provided DTS, groups requests by
+// deadline (exact equality, first-appearance order) and builds one
+// auxiliary graph + SteinerSolver per group; the solver's Dijkstra-tree
+// cache then serves every request of the group through the same
+// run_eedcb_on_aux tail a one-shot run_eedcb takes, so schedules are
+// byte-identical to per-request run_eedcb calls — tests/diff pins this.
+//
+// Each request runs under its own support::Budget (deadline + cancel token
+// + shared memory ledger) and returns its own support::Result, so one
+// pathological instance costs the batch exactly one error slot:
 //
 //   * a request that blows its budget triggers the fallback ladder
 //     (shed-to-GREED) or, under ShedPolicy::kError, returns the timeout as
@@ -19,11 +26,9 @@
 //     polling its budget for a stall window (a wedged rung cannot wedge the
 //     batch forever).
 //
-// Un-governed requests take the exact solve_many code path (same grouping,
-// same aux-graph reuse, same run_eedcb_on_aux tail), so their schedules are
-// byte-identical to the ungoverned baseline — tests/diff pins this.
-// Outcomes are counted under tveg.govern.* and landmark decisions
-// (shed, stall, demotion) land in the flight recorder.
+// Default GovernOptions mean no limit. Outcomes are counted under
+// tveg.govern.* and tveg.batch.*, and landmark decisions (shed, stall,
+// demotion) land in the flight recorder.
 #pragma once
 
 #include <cstddef>
@@ -89,24 +94,15 @@ struct GovernedSolve {
 
 /// Solves every request over one shared DTS with per-request isolation; see
 /// the file comment for semantics. Outcomes are in request order.
+///
+/// Test seam: request r uses `cancels[r]` as its cancel source (shared
+/// state — a harness can fire it mid-solve, and the watchdog cancels
+/// through the same source). Requests beyond `cancels.size()` get a fresh
+/// private source.
 std::vector<GovernedSolve> solve_many_governed(
     const core::Tveg& tveg, const DiscreteTimeSet& dts,
     const std::vector<core::SolveRequest>& requests,
-    const GovernOptions& options = {});
-
-/// As above, building the DTS from options.eedcb.dts.
-std::vector<GovernedSolve> solve_many_governed(
-    const core::Tveg& tveg, const std::vector<core::SolveRequest>& requests,
-    const GovernOptions& options = {});
-
-/// Test seam: as the governed batch, but request r uses `cancels[r]` as its
-/// cancel source (shared state — a harness can fire it mid-solve, and the
-/// watchdog cancels through the same source). Requests beyond
-/// `cancels.size()` get a fresh private source.
-std::vector<GovernedSolve> solve_many_governed(
-    const core::Tveg& tveg, const DiscreteTimeSet& dts,
-    const std::vector<core::SolveRequest>& requests,
-    const GovernOptions& options,
-    const std::vector<support::CancelSource>& cancels);
+    const GovernOptions& options = {},
+    const std::vector<support::CancelSource>& cancels = {});
 
 }  // namespace tveg::fault

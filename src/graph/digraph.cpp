@@ -121,7 +121,6 @@ void dijkstra_core(const Digraph& g, VertexId src, double* dist,
                    VertexId* parent,
                    std::vector<std::pair<double, VertexId>>& heap,
                    std::size_t& settled, std::size_t& relaxations) {
-  using Entry = std::pair<double, VertexId>;
   heap.clear();
   heap.emplace_back(0.0, src);
   while (!heap.empty()) {

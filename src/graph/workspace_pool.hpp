@@ -1,7 +1,7 @@
 // Process-wide pool of DijkstraWorkspace objects.
 //
 // Every traversal site in the solve core (SteinerSolver queries, AuxGraph
-// helpers, solve_many batch workers) borrows its scratch through here
+// helpers, governed-batch solves) borrows its scratch through here
 // instead of stack-allocating, so the dist/parent/heap buffers warm up once
 // per thread-pool width and are reused for the life of the process.
 // Acquisition is counted on `tveg.steiner.heap.acquires` /

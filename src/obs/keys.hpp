@@ -103,11 +103,6 @@ inline constexpr char kCacheEvictions[] = "tveg.cache.evictions";
 inline constexpr char kMemPressureEvictions[] = "tveg.mem.pressure_evictions";
 inline constexpr char kMemCacheBytes[] = "tveg.mem.cache_bytes";
 
-// -- core/solve_many --------------------------------------------------------
-inline constexpr char kBatchSolves[] = "tveg.batch.solves";
-inline constexpr char kBatchRequests[] = "tveg.batch.requests";
-inline constexpr char kBatchAuxReuses[] = "tveg.batch.aux_reuses";
-
 // -- sim/monte_carlo --------------------------------------------------------
 inline constexpr char kMcRuns[] = "tveg.mc.runs";
 inline constexpr char kMcTrials[] = "tveg.mc.trials";
@@ -140,6 +135,10 @@ inline constexpr char kGovernCancelled[] = "tveg.govern.cancelled";
 inline constexpr char kGovernErrors[] = "tveg.govern.errors";
 inline constexpr char kGovernShed[] = "tveg.govern.shed";
 inline constexpr char kGovernStalls[] = "tveg.govern.stalls";
+/// Per batch call / request / request served by an already-built aux graph.
+inline constexpr char kBatchSolves[] = "tveg.batch.solves";
+inline constexpr char kBatchRequests[] = "tveg.batch.requests";
+inline constexpr char kBatchAuxReuses[] = "tveg.batch.aux_reuses";
 
 // -- flight-recorder event names --------------------------------------------
 // Must stay in lockstep with FlightEventKind / flight_event_kind_name

@@ -80,6 +80,11 @@ double Histogram::max() const noexcept {
 }
 
 double Histogram::quantile(double q) const noexcept {
+  return quantile_within(q, min(), max());
+}
+
+double Histogram::quantile_within(double q, double lo, double hi) const
+    noexcept {
   const std::uint64_t n = count();
   if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -95,20 +100,20 @@ double Histogram::quantile(double q) const noexcept {
         estimate = 0.0;  // the <=0 bucket
       } else {
         // Linear interpolation inside the geometric bucket.
-        const double lo = bucket_lower(i);
-        const double hi = bucket_lower(i + 1);
+        const double bucket_lo = bucket_lower(i);
+        const double bucket_hi = bucket_lower(i + 1);
         const double frac =
             (rank - static_cast<double>(seen)) / static_cast<double>(c);
-        estimate = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+        estimate =
+            bucket_lo + (bucket_hi - bucket_lo) * std::clamp(frac, 0.0, 1.0);
       }
       // A racing reset() can momentarily leave min > max; std::clamp with
       // an inverted range is UB, so only clamp when the bounds are sane.
-      const double lo = min(), hi = max();
       return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
     }
     seen += c;
   }
-  return max();
+  return hi;
 }
 
 Histogram::Snapshot Histogram::snapshot() const noexcept {
@@ -118,10 +123,10 @@ Histogram::Snapshot Histogram::snapshot() const noexcept {
   s.sum = sum();
   s.min = min();
   s.max = max();
-  s.p50 = quantile(0.50);
-  s.p90 = quantile(0.90);
-  s.p95 = quantile(0.95);
-  s.p99 = quantile(0.99);
+  s.p50 = quantile_within(0.50, s.min, s.max);
+  s.p90 = quantile_within(0.90, s.min, s.max);
+  s.p95 = quantile_within(0.95, s.min, s.max);
+  s.p99 = quantile_within(0.99, s.min, s.max);
   return s;
 }
 

@@ -101,6 +101,10 @@ class Histogram {
   static constexpr int kSubBucketsPerOctave = 8;
   static std::size_t bucket_index(double x) noexcept;
   static double bucket_lower(std::size_t i) noexcept;
+  /// quantile() clamped to the given [lo, hi] bounds: snapshot() passes the
+  /// min/max it reports, so concurrent writers cannot push a snapshot's
+  /// quantiles past its own max.
+  double quantile_within(double q, double lo, double hi) const noexcept;
 
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};

@@ -149,22 +149,6 @@ Workbench::RunOutcome Workbench::run(Algorithm algorithm, NodeId source,
   return outcome;
 }
 
-std::vector<Workbench::RunOutcome> Workbench::run_many_eedcb(
-    const std::vector<core::SolveRequest>& requests) const {
-  const std::vector<core::SchedulerResult> solved =
-      core::solve_many(*step_, dts_, requests, eedcb_options());
-  std::vector<RunOutcome> outcomes(solved.size());
-  for (std::size_t i = 0; i < solved.size(); ++i) {
-    outcomes[i].schedule = solved[i].schedule;
-    outcomes[i].covered_all = solved[i].covered_all;
-    outcomes[i].stats = solved[i].stats;
-    outcomes[i].normalized_energy = core::normalized_energy(
-        step_instance(requests[i].source, requests[i].deadline),
-        solved[i].schedule);
-  }
-  return outcomes;
-}
-
 std::vector<fault::GovernedSolve> Workbench::run_many_eedcb_governed(
     const std::vector<core::SolveRequest>& requests,
     fault::GovernOptions options) const {

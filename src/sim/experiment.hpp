@@ -101,18 +101,13 @@ class Workbench {
   RunOutcome run(Algorithm algorithm, NodeId source, Time deadline,
                  std::uint64_t seed = 1) const;
 
-  /// Batched EEDCB panel via core::solve_many: one auxiliary graph and
-  /// Steiner solver per distinct deadline serve the whole batch. Outcomes
-  /// are in request order and byte-identical to per-request
-  /// run(kEedcb, ...) calls.
-  std::vector<RunOutcome> run_many_eedcb(
-      const std::vector<core::SolveRequest>& requests) const;
-
-  /// Governed EEDCB batch (fault::solve_many_governed): per-request budgets,
-  /// isolation, optional watchdog and shedding; the workbench wires its own
-  /// pool, dts options, and cache MemBudget into `options` (its eedcb
-  /// budget/pool fields are overwritten). Un-governed requests produce
-  /// schedules byte-identical to run_many_eedcb.
+  /// EEDCB batch over the workbench's shared DTS (fault::solve_many_governed):
+  /// one auxiliary graph and Steiner solver per distinct deadline, plus
+  /// per-request budgets, isolation, optional watchdog and shedding. The
+  /// workbench overwrites `options.eedcb` with its own scheduler options
+  /// (Steiner method, DTS options, pool) and supplies its cache MemBudget
+  /// when `options.mem` is null. Un-governed requests produce schedules
+  /// byte-identical to per-request run(kEedcb, ...) calls.
   std::vector<fault::GovernedSolve> run_many_eedcb_governed(
       const std::vector<core::SolveRequest>& requests,
       fault::GovernOptions options = {}) const;

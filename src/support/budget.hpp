@@ -14,6 +14,7 @@
 // call sites (`options.budget = Deadline::after_ms(50)`) read naturally.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 
 #include "support/cancel.hpp"
@@ -54,26 +55,37 @@ struct Budget {
   class Poller;
 };
 
-/// Strided budget poller: every poll() ticks the cancel token (relaxed
-/// load + heartbeat), the deadline clock is read only every `stride` polls
-/// via Deadline::Poller. Create one per loop (or per parallel chunk — it
-/// is not thread-safe) and call poll() per iteration.
+/// Strided budget poller for hot loops: every poll() ticks the cancel
+/// token (relaxed load + heartbeat), but the deadline clock is read only
+/// every `stride` polls — `Deadline::check` reads the clock on every call,
+/// which adds up when polled per inner iteration (the level-2 density scan
+/// visits every vertex per round). Detection latency is bounded by `stride`
+/// iterations, which the budgeted loops keep well under a millisecond of
+/// work. Create one per loop (or per parallel chunk — it is not
+/// thread-safe) and call poll() per iteration.
 class Budget::Poller {
  public:
   explicit Poller(const Budget& budget, const char* where,
                   std::uint32_t stride = 64)
-      : cancel_(budget.cancel), deadline_(budget.deadline, where, stride),
-        where_(where) {}
+      : cancel_(budget.cancel), deadline_(budget.deadline), where_(where),
+        stride_(stride) {}
 
+  /// One poll: throws CancelledError on a pending cancel, and TimeoutError
+  /// on the striding clock reads once the deadline has passed.
   void poll() {
     cancel_.check(where_);
-    deadline_.poll();
+    if (++count_ >= stride_) {
+      count_ = 0;
+      deadline_.check(where_);
+    }
   }
 
  private:
   CancelToken cancel_;
-  Deadline::Poller deadline_;
+  Deadline deadline_;
   const char* where_;
+  std::uint32_t stride_;
+  std::uint32_t count_ = 0;
 };
 
 }  // namespace tveg::support

@@ -1,15 +1,14 @@
 // Wall-clock solve budgets with cooperative cancellation.
 //
 // A Deadline is a point in time a solver promises not to run past. The
-// expensive loops (Steiner search, auxiliary-graph build) poll it every few
-// thousand iterations and throw TimeoutError when it has passed; the
-// fallback ladder (fault/degrade.hpp) catches that and retries with a
-// cheaper algorithm. Default-constructed deadlines are unlimited and cost
-// one branch per poll — no clock read.
+// expensive loops (Steiner search, auxiliary-graph build) poll it through
+// a strided support::Budget::Poller and throw TimeoutError when it has
+// passed; the fallback ladder (fault/degrade.hpp) catches that and retries
+// with a cheaper algorithm. Default-constructed deadlines are unlimited and
+// cost one branch per poll — no clock read.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -62,39 +61,9 @@ class Deadline {
       throw TimeoutError(std::string("solve budget exceeded in ") + where);
   }
 
-  class Poller;
-
  private:
   bool limited_ = false;
   Clock::time_point at_{};
-};
-
-/// Strided deadline poller for hot loops: `Deadline::check` reads the clock
-/// on every call, which adds up when polled per inner iteration (the
-/// level-2 density scan visits every vertex per round). A Poller reads the
-/// clock only every `stride` polls — the other polls are one increment and
-/// one branch — bounding detection latency by `stride` iterations, which
-/// the budgeted loops keep well under a millisecond of work.
-class Deadline::Poller {
- public:
-  explicit Poller(const Deadline& deadline, const char* where,
-                  std::uint32_t stride = 64)
-      : deadline_(deadline), where_(where), stride_(stride) {}
-
-  /// One poll; throws TimeoutError on the striding clock reads once the
-  /// deadline has passed.
-  void poll() {
-    if (++count_ >= stride_) {
-      count_ = 0;
-      deadline_.check(where_);
-    }
-  }
-
- private:
-  Deadline deadline_;
-  const char* where_;
-  std::uint32_t stride_;
-  std::uint32_t count_ = 0;
 };
 
 }  // namespace tveg::support

@@ -1,6 +1,6 @@
 // Solver-acceptance gate: every schedule the production solvers emit across
 // a 200-instance seeded sweep — EEDCB (both Steiner methods and the
-// power-expansion ablation), FR-EEDCB, solve_many batches, and every rung
+// power-expansion ablation), FR-EEDCB, governed batches, and every rung
 // of the robust ladder — must be accepted by the independent certifier.
 // This is the anti-"shared misreading" check: the certifier re-derives
 // Eq. 6, the delay window and the DTS closure from the contact list alone,
@@ -16,6 +16,7 @@
 #include "core/solve_many.hpp"
 #include "core/tveg.hpp"
 #include "fault/degrade.hpp"
+#include "fault/govern.hpp"
 #include "support/math.hpp"
 #include "tools/certify/certify.hpp"
 #include "trace/generators.hpp"
@@ -158,13 +159,15 @@ TEST(CertifySweep, SolveManyBatchesCertifyIncludingMulticast) {
       requests.push_back({.source = s, .deadline = 200.0});
     requests.push_back({.source = 0, .deadline = 120.0, .targets = {1, 2}});
 
-    const auto batch = core::solve_many(tveg, requests, {});
+    const auto batch =
+        fault::solve_many_governed(tveg, tveg.build_dts(), requests);
     ASSERT_EQ(batch.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(batch[i].outcome.ok()) << "seed " << seed << " request " << i;
+      const core::SchedulerResult& solved = batch[i].outcome.value();
       const core::TmedbInstance instance = core::to_instance(tveg, requests[i]);
-      expect_certified(t, instance, batch[i].schedule,
-                       channel::ChannelModel::kStep, batch[i].covered_all,
-                       seed);
+      expect_certified(t, instance, solved.schedule,
+                       channel::ChannelModel::kStep, solved.covered_all, seed);
     }
   }
 }

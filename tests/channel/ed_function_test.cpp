@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 namespace tveg::channel {
 namespace {
@@ -120,26 +121,32 @@ TEST(EdFunction, ModelNames) {
 // Property 3.1 as a parameterized property suite over all implementations.
 // ---------------------------------------------------------------------------
 
-using EdFactory = std::function<std::unique_ptr<EdFunction>()>;
+/// One model under test. PrintTo shows only the name, so the ctest names
+/// gtest_discover_tests derives from GetParam() are the same every build.
+struct EdModel {
+  const char* name;
+  std::function<std::unique_ptr<EdFunction>()> make;
+};
 
-class EdFunctionProperty
-    : public ::testing::TestWithParam<std::pair<const char*, EdFactory>> {};
+void PrintTo(const EdModel& model, std::ostream* os) { *os << model.name; }
+
+class EdFunctionProperty : public ::testing::TestWithParam<EdModel> {};
 
 TEST_P(EdFunctionProperty, VanishesAtHighPower) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(i): φ(w) → 0 as w → ∞. The heaviest fading model here
   // (Nakagami m = 1/2) decays like w^{-1/2}, hence the loose threshold.
   EXPECT_LT(f->failure_probability(1e9), 1e-4);
 }
 
 TEST_P(EdFunctionProperty, CertainFailureAtZeroPower) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(ii): φ(0) = 1.
   EXPECT_DOUBLE_EQ(f->failure_probability(0.0), 1.0);
 }
 
 TEST_P(EdFunctionProperty, NonIncreasing) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(iv).
   double prev = 1.0;
   for (double w = 0.0; w <= 20.0; w += 0.25) {
@@ -152,7 +159,7 @@ TEST_P(EdFunctionProperty, NonIncreasing) {
 }
 
 TEST_P(EdFunctionProperty, MinCostInverseConsistent) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   for (double target : {0.5, 0.1, 0.01}) {
     const Cost w = f->min_cost_for(target);
     ASSERT_TRUE(std::isfinite(w));
@@ -165,31 +172,25 @@ TEST_P(EdFunctionProperty, MinCostInverseConsistent) {
 }
 
 TEST_P(EdFunctionProperty, RejectsNegativeCost) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   EXPECT_THROW(f->failure_probability(-1.0), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, EdFunctionProperty,
     ::testing::Values(
-        std::pair<const char*, EdFactory>{
-            "step", [] { return std::make_unique<StepEdFunction>(2.0); }},
-        std::pair<const char*, EdFactory>{
-            "rayleigh",
-            [] { return std::make_unique<RayleighEdFunction>(1.5); }},
-        std::pair<const char*, EdFactory>{
-            "nakagami_half",
-            [] { return std::make_unique<NakagamiEdFunction>(0.5, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "nakagami_3",
-            [] { return std::make_unique<NakagamiEdFunction>(3.0, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "rician_1",
-            [] { return std::make_unique<RicianEdFunction>(1.0, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "rician_6",
-            [] { return std::make_unique<RicianEdFunction>(6.0, 1.5); }}),
-    [](const auto& name_info) { return std::string(name_info.param.first); });
+        EdModel{"step", [] { return std::make_unique<StepEdFunction>(2.0); }},
+        EdModel{"rayleigh",
+                [] { return std::make_unique<RayleighEdFunction>(1.5); }},
+        EdModel{"nakagami_half",
+                [] { return std::make_unique<NakagamiEdFunction>(0.5, 1.5); }},
+        EdModel{"nakagami_3",
+                [] { return std::make_unique<NakagamiEdFunction>(3.0, 1.5); }},
+        EdModel{"rician_1",
+                [] { return std::make_unique<RicianEdFunction>(1.0, 1.5); }},
+        EdModel{"rician_6",
+                [] { return std::make_unique<RicianEdFunction>(6.0, 1.5); }}),
+    [](const auto& name_info) { return std::string(name_info.param.name); });
 
 }  // namespace
 }  // namespace tveg::channel

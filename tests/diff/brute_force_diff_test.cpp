@@ -15,7 +15,6 @@
 #include "core/eedcb.hpp"
 #include "core/energy_allocation.hpp"
 #include "core/fr.hpp"
-#include "core/solve_many.hpp"
 #include "graph/steiner.hpp"
 #include "support/math.hpp"
 #include "support/thread_pool.hpp"

@@ -1,9 +1,10 @@
-// Differential suite for the governed batch (DESIGN.md "Resource
-// governance"): with unlimited budgets, fault::solve_many_governed must be
-// a pure reordering-free wrapper — schedules BYTE-identical to the
-// ungoverned core::solve_many, transmission lists under exact double
-// equality, same serialized text — across seeded random TVEGs, with and
-// without cache + pool, and with a poisoned request planted mid-batch.
+// Differential suite for the batch entry point (DESIGN.md "Batched sweeps
+// and per-request isolation"): with unlimited budgets, every schedule of
+// fault::solve_many_governed must be BYTE-identical to solving its request
+// alone with run_eedcb — transmission lists under exact double equality,
+// same serialized text — across seeded random TVEGs, serial, with cache +
+// pool, under a squeezed memory budget, and with a poisoned request planted
+// mid-batch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -63,6 +64,17 @@ void expect_identical(const Schedule& oracle, const Schedule& candidate,
                               << ": serialized schedules differ";
 }
 
+/// The one-shot oracle: each request solved alone by run_eedcb over the
+/// TVEG's own DTS, with default (serial, uncached) options.
+std::vector<SchedulerResult> one_shot(
+    const Tveg& tveg, const std::vector<SolveRequest>& requests) {
+  const DiscreteTimeSet dts = tveg.build_dts();
+  std::vector<SchedulerResult> results;
+  for (const SolveRequest& request : requests)
+    results.push_back(run_eedcb(to_instance(tveg, request), dts));
+  return results;
+}
+
 std::vector<SolveRequest> mixed_panel(int nodes) {
   std::vector<SolveRequest> requests;
   for (NodeId s = 0; s < nodes; ++s)
@@ -73,8 +85,8 @@ std::vector<SolveRequest> mixed_panel(int nodes) {
   return requests;
 }
 
-/// Ungoverned budgets: the governed batch must replicate solve_many's
-/// grouping and solve path byte for byte, serial and pooled + cached.
+/// Ungoverned budgets: the batch's aux-graph and solver reuse must not move
+/// a bit of any schedule, serial and pooled + cached.
 TEST(GovernedDiff, UnlimitedBudgetsMatchSolveManyByteForByte) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const int nodes = 6;
@@ -84,16 +96,15 @@ TEST(GovernedDiff, UnlimitedBudgetsMatchSolveManyByteForByte) {
     cached.attach_cache(std::make_shared<EdWeightCache>());
 
     const std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = solve_many(serial, requests, {});
+    const auto baseline = one_shot(serial, requests);
 
-    fault::GovernOptions serial_opt;
     const auto governed_serial =
-        fault::solve_many_governed(serial, requests, serial_opt);
+        fault::solve_many_governed(serial, serial.build_dts(), requests);
 
     fault::GovernOptions pooled_opt;
     pooled_opt.eedcb.pool = &pool();
-    const auto governed_pooled =
-        fault::solve_many_governed(cached, requests, pooled_opt);
+    const auto governed_pooled = fault::solve_many_governed(
+        cached, cached.build_dts(), requests, pooled_opt);
 
     ASSERT_EQ(governed_serial.size(), requests.size());
     ASSERT_EQ(governed_pooled.size(), requests.size());
@@ -120,7 +131,7 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
     const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
 
     std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = solve_many(tveg, requests, {});
+    const auto baseline = one_shot(tveg, requests);
 
     // Plant a request whose source does not exist in the middle of the
     // 200-deadline group.
@@ -129,7 +140,8 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
                     {.source = static_cast<NodeId>(nodes + 50),
                      .deadline = 200.0});
 
-    const auto governed = fault::solve_many_governed(tveg, requests, {});
+    const auto governed =
+        fault::solve_many_governed(tveg, tveg.build_dts(), requests);
     ASSERT_EQ(governed.size(), requests.size());
     std::size_t baseline_index = 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -151,7 +163,7 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
 /// A bounded cache (byte pressure evicting whole shards mid-batch) must not
 /// move a single bit of any schedule.
 TEST(GovernedDiff, MemoryPressureEvictionsPreserveSchedules) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const int nodes = 6;
     const trace::ContactTrace t = random_trace(seed, nodes);
     const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
@@ -163,12 +175,12 @@ TEST(GovernedDiff, MemoryPressureEvictionsPreserveSchedules) {
     squeezed.attach_cache(cache);
 
     const std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = solve_many(serial, requests, {});
+    const auto baseline = one_shot(serial, requests);
 
     fault::GovernOptions options;
     options.mem = &mem;
-    const auto governed =
-        fault::solve_many_governed(squeezed, requests, options);
+    const auto governed = fault::solve_many_governed(
+        squeezed, squeezed.build_dts(), requests, options);
     ASSERT_EQ(governed.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       ASSERT_TRUE(governed[i].outcome.ok())

@@ -17,6 +17,7 @@
 #include "core/schedule_io.hpp"
 #include "core/solve_many.hpp"
 #include "core/tveg.hpp"
+#include "fault/govern.hpp"
 #include "support/math.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/generators.hpp"
@@ -145,7 +146,7 @@ TEST(SerialParallelDiff, FrEedcbByteIdentical) {
   }
 }
 
-/// solve_many over a mixed panel (every source, two deadlines, one
+/// The governed batch over a mixed panel (every source, two deadlines, one
 /// multicast request) against per-request run_eedcb — on top of cache +
 /// pool, so the batch path composes with both tentpole levers.
 TEST(SerialParallelDiff, SolveManyMatchesPerRequestRuns) {
@@ -163,17 +164,19 @@ TEST(SerialParallelDiff, SolveManyMatchesPerRequestRuns) {
       requests.push_back({.source = s, .deadline = 120.0});
     requests.push_back({.source = 0, .deadline = 200.0, .targets = {1, 2}});
 
-    EedcbOptions serial_opt;
-    EedcbOptions batch_opt = serial_opt;
-    batch_opt.pool = &pool();
-    const auto batch = solve_many(batched, requests, batch_opt);
+    fault::GovernOptions batch_opt;
+    batch_opt.eedcb.pool = &pool();
+    const auto batch = fault::solve_many_governed(
+        batched, batched.build_dts(), requests, batch_opt);
     ASSERT_EQ(batch.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto oracle =
-          run_eedcb(to_instance(serial, requests[i]), serial_opt);
-      ASSERT_EQ(oracle.covered_all, batch[i].covered_all)
+      ASSERT_TRUE(batch[i].outcome.ok())
           << "seed " << seed << " request " << i;
-      expect_identical(oracle.schedule, batch[i].schedule, seed);
+      const SchedulerResult& solved = batch[i].outcome.value();
+      const auto oracle = run_eedcb(to_instance(serial, requests[i]));
+      ASSERT_EQ(oracle.covered_all, solved.covered_all)
+          << "seed " << seed << " request " << i;
+      expect_identical(oracle.schedule, solved.schedule, seed);
     }
   }
 }

@@ -1,7 +1,7 @@
-// Per-request governance (fault::solve_many_governed): isolation of
-// poisoned requests, shed policies, admission bounds, watchdog arming, and
-// the tentpole acceptance — a mid-solve cancellation returns within a fixed
-// poll-count bound without wedging the pool.
+// The batch entry point (fault::solve_many_governed): one-shot identity,
+// batch counters, isolation of poisoned requests, shed policies, admission
+// bounds, watchdog arming, and a mid-solve cancellation returning within a
+// fixed poll-count bound without wedging the pool.
 #include "fault/govern.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "core/schedule.hpp"
 #include "core/schedule_io.hpp"
 #include "core/solve_many.hpp"
+#include "obs/keys.hpp"
+#include "obs/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/generators.hpp"
 
@@ -60,18 +62,46 @@ TEST(Govern, CleanBatchIsByteIdenticalToUngoverned) {
     requests.push_back({.source = s, .deadline = 200.0});
   requests.push_back({.source = 0, .deadline = 120.0});
 
-  const auto baseline = core::solve_many(tveg, dts, requests, {});
-  const auto governed = solve_many_governed(tveg, dts, requests, {});
+  const auto governed = solve_many_governed(tveg, dts, requests);
   ASSERT_EQ(governed.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(governed[i].outcome.ok()) << "request " << i;
     EXPECT_EQ(governed[i].rung, SolverRung::kEedcb);
     EXPECT_FALSE(governed[i].shed);
     EXPECT_FALSE(governed[i].degraded());
+    const auto one_shot =
+        core::run_eedcb(core::to_instance(tveg, requests[i]), dts);
     EXPECT_EQ(serialized(governed[i].outcome.value().schedule),
-              serialized(baseline[i].schedule))
+              serialized(one_shot.schedule))
         << "request " << i;
   }
+}
+
+TEST(Govern, BatchCountersSeeOneBatchAndItsAuxReuses) {
+  const trace::ContactTrace t = sample_trace();
+  const core::Tveg tveg(t, unit_radio(),
+                        {.model = channel::ChannelModel::kStep});
+  const DiscreteTimeSet dts = tveg.build_dts();
+
+  // 6 sources × 2 deadlines: two aux graphs, each reused by 5 requests.
+  std::vector<core::SolveRequest> requests;
+  for (const Time deadline : {200.0, 120.0})
+    for (NodeId s = 0; s < 6; ++s)
+      requests.push_back({.source = s, .deadline = deadline});
+
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& solves = registry.counter(obs::keys::kBatchSolves);
+  obs::Counter& batch_requests = registry.counter(obs::keys::kBatchRequests);
+  obs::Counter& reuses = registry.counter(obs::keys::kBatchAuxReuses);
+  const std::uint64_t solves_before = solves.value();
+  const std::uint64_t requests_before = batch_requests.value();
+  const std::uint64_t reuses_before = reuses.value();
+
+  const auto governed = solve_many_governed(tveg, dts, requests);
+  for (const GovernedSolve& g : governed) ASSERT_TRUE(g.outcome.ok());
+  EXPECT_EQ(solves.value() - solves_before, 1u);
+  EXPECT_EQ(batch_requests.value() - requests_before, 12u);
+  EXPECT_EQ(reuses.value() - reuses_before, 10u);
 }
 
 TEST(Govern, PoisonedRequestCostsExactlyItsOwnSlot) {
@@ -86,25 +116,25 @@ TEST(Govern, PoisonedRequestCostsExactlyItsOwnSlot) {
   poisoned.push_back({.source = 100, .deadline = 200.0});
   poisoned.push_back({.source = 1, .deadline = 200.0});
 
-  // The ungoverned batch aborts wholesale...
-  EXPECT_THROW(core::solve_many(tveg, dts, poisoned, {}), std::exception);
+  // Solved alone, the poisoned request throws...
+  EXPECT_THROW(core::run_eedcb(core::to_instance(tveg, poisoned[1]), dts),
+               std::exception);
 
-  // ...the governed batch returns three per-request outcomes.
-  const auto governed = solve_many_governed(tveg, dts, poisoned, {});
+  // ...in the batch it costs one outcome slot out of three.
+  const auto governed = solve_many_governed(tveg, dts, poisoned);
   ASSERT_EQ(governed.size(), 3u);
   ASSERT_TRUE(governed[0].outcome.ok());
   ASSERT_FALSE(governed[1].outcome.ok());
   EXPECT_EQ(governed[1].outcome.error().code, support::ErrorCode::kInternal);
   ASSERT_TRUE(governed[2].outcome.ok());
 
-  // And the survivors are byte-identical to a baseline that never saw the
-  // poison.
-  const std::vector<core::SolveRequest> clean = {poisoned[0], poisoned[2]};
-  const auto baseline = core::solve_many(tveg, dts, clean, {});
-  EXPECT_EQ(serialized(governed[0].outcome.value().schedule),
-            serialized(baseline[0].schedule));
-  EXPECT_EQ(serialized(governed[2].outcome.value().schedule),
-            serialized(baseline[1].schedule));
+  // And the survivors are byte-identical to their one-shot solves.
+  for (const std::size_t i : {0u, 2u})
+    EXPECT_EQ(serialized(governed[i].outcome.value().schedule),
+              serialized(core::run_eedcb(
+                             core::to_instance(tveg, poisoned[i]), dts)
+                             .schedule))
+        << "request " << i;
 }
 
 TEST(Govern, ZeroBudgetDegradesEveryRequestToGreed) {
@@ -142,9 +172,8 @@ TEST(Govern, ErrorPolicyReturnsTimeoutsInsteadOfSchedules) {
   GovernOptions options;
   options.request_budget_ms = 0;
   options.shed_policy = ShedPolicy::kError;
-  // The dts-building overload, for coverage of both entry points.
   const auto governed = solve_many_governed(
-      tveg, {{.source = 0, .deadline = 200.0}}, options);
+      tveg, tveg.build_dts(), {{.source = 0, .deadline = 200.0}}, options);
   ASSERT_EQ(governed.size(), 1u);
   ASSERT_FALSE(governed[0].outcome.ok());
   EXPECT_EQ(governed[0].outcome.error().code, support::ErrorCode::kTimeout);

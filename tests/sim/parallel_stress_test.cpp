@@ -10,6 +10,7 @@
 
 #include "core/solve_many.hpp"
 #include "fault/degrade.hpp"
+#include "fault/govern.hpp"
 #include "graph/workspace_pool.hpp"
 #include "sim/monte_carlo.hpp"
 #include "support/thread_pool.hpp"
@@ -108,20 +109,22 @@ TEST(ParallelStress, ConcurrentRobustSolvesAgree) {
 }
 
 TEST(ParallelStress, ConcurrentSolveManyBatchesShareWorkspacePool) {
-  // Several caller threads run pooled solve_many batches at once. All their
-  // Dijkstra scratch flows through graph::dijkstra_workspaces() — the
-  // shared free list is the contended state this test hammers under TSan —
-  // and every batch must still reproduce the serial baseline bit-for-bit.
+  // Several caller threads run pooled batches at once. All their Dijkstra
+  // scratch flows through graph::dijkstra_workspaces() — the shared free
+  // list is the contended state this test hammers under TSan — and every
+  // batch must still reproduce the serial one-shot solves bit-for-bit.
   const trace::ContactTrace t = sample_trace(7);
   const core::Tveg tveg(t, unit_radio(),
                         {.model = channel::ChannelModel::kStep});
+  const DiscreteTimeSet dts = tveg.build_dts();
   std::vector<core::SolveRequest> requests;
   for (NodeId s = 0; s < 4; ++s)
     requests.push_back({.source = s, .deadline = 200.0});
   requests.push_back({.source = 0, .deadline = 160.0});
 
-  const std::vector<core::SchedulerResult> baseline =
-      core::solve_many(tveg, requests, {});
+  std::vector<core::SchedulerResult> baseline;
+  for (const core::SolveRequest& request : requests)
+    baseline.push_back(core::run_eedcb(core::to_instance(tveg, request), dts));
 
   constexpr std::size_t kCallers = 3;
   std::vector<std::vector<core::SchedulerResult>> results(kCallers);
@@ -129,9 +132,11 @@ TEST(ParallelStress, ConcurrentSolveManyBatchesShareWorkspacePool) {
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      core::EedcbOptions pooled;
-      pooled.pool = &support::ThreadPool::global();
-      results[c] = core::solve_many(tveg, requests, pooled);
+      fault::GovernOptions pooled;
+      pooled.eedcb.pool = &support::ThreadPool::global();
+      for (auto& solved : fault::solve_many_governed(tveg, dts, requests,
+                                                     pooled))
+        results[c].push_back(solved.outcome.value());
     });
   }
   for (auto& th : callers) th.join();

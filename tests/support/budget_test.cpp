@@ -83,8 +83,8 @@ TEST(Budget, CancellationWinsOverExpiredDeadline) {
 }
 
 TEST(DeadlinePoller, ReadsTheClockEveryStridePolls) {
-  const Deadline expired = Deadline::after_ms(0);
-  Deadline::Poller poller(expired, "loop", /*stride=*/4);
+  const Budget expired(Deadline::after_ms(0));
+  Budget::Poller poller(expired, "loop", /*stride=*/4);
   // Three polls stay clock-free; the fourth hits the stride boundary.
   EXPECT_NO_THROW(poller.poll());
   EXPECT_NO_THROW(poller.poll());
