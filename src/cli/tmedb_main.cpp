@@ -143,13 +143,12 @@ void enable_observability() {
   obs::set_enabled(true);
 }
 
-/// Shared --trace-out / --flight-out prologue: arms span tracing (which
-/// implies the aggregate layer, so the ring spans line up with phase totals)
-/// and the crash-time flight-recorder dump path.
+/// Shared --trace-out / --flight-out prologue: arms tracing (one switch for
+/// the phase tree and the span rings) and the crash-time flight-recorder
+/// dump path.
 void arm_tracing(const Args& args) {
   if (args.has("trace-out")) {
     enable_observability();
-    obs::set_span_tracing(true);
     obs::set_current_thread_name("main");
   }
   if (args.has("flight-out"))

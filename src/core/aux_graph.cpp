@@ -5,7 +5,6 @@
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 
@@ -20,7 +19,7 @@ AuxGraph::AuxGraph(const TmedbInstance& instance, const DiscreteTimeSet& dts)
 
 AuxGraph::AuxGraph(const TmedbInstance& instance, const DiscreteTimeSet& dts,
                    Options options) {
-  obs::TraceSpan span("aux_graph");
+  obs::Span span("aux_graph", &build_ms_);
   instance.validate();
   const Tveg& tveg = *instance.tveg;
   const Time tau = tveg.latency();
@@ -68,11 +67,11 @@ AuxGraph::AuxGraph(const TmedbInstance& instance, const DiscreteTimeSet& dts,
   }
   std::vector<std::vector<DcsEntry>> dcs_by_slot(slots.size());
   const auto fill = [&](std::size_t s) {
-    obs::ScopedSpan fill_span("aux_dcs_fill");
     dcs_by_slot[s] =
         tveg.discrete_cost_set(static_cast<NodeId>(slots[s].i), slots[s].t);
   };
   if (options.pool != nullptr && slots.size() > 1) {
+    obs::Span fill_span("aux_dcs_fill");
     options.pool->parallel_for(0, slots.size(), [&](std::size_t s) {
       options.budget.check("aux_dcs");
       fill(s);
@@ -81,6 +80,7 @@ AuxGraph::AuxGraph(const TmedbInstance& instance, const DiscreteTimeSet& dts,
         obs::MetricsRegistry::global().counter(obs::keys::kParallelAuxDcsTasks);
     par_tasks.add(slots.size());
   } else {
+    obs::Span fill_span("aux_dcs_fill");
     support::Budget::Poller poller(options.budget, "aux_dcs", /*stride=*/16);
     for (std::size_t s = 0; s < slots.size(); ++s) {
       poller.poll();

@@ -67,6 +67,8 @@ class AuxGraph {
     return static_cast<std::size_t>(g_.vertex_count());
   }
   std::size_t arc_count() const { return g_.arc_count(); }
+  /// Wall time of the construction: the slot of its `aux_graph` span.
+  double build_ms() const { return build_ms_; }
 
   /// Source vertex u_{s,0} for an alternative source node. The transmission
   /// structure is source-independent, so one AuxGraph built at a deadline
@@ -122,6 +124,7 @@ class AuxGraph {
   /// they have no incoming arcs, so no tree arc can ever reference them.
   std::vector<PowerInfo> power_info_;
   std::size_t live_power_ = 0;
+  double build_ms_ = 0;
 };
 
 }  // namespace tveg::core

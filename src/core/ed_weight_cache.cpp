@@ -9,23 +9,36 @@
 
 namespace tveg::core {
 
+namespace {
+
+/// The process-wide tveg.cache.* counters. Events are counted into them as
+/// they happen, so a metrics snapshot taken while a cache is alive sees
+/// them.
+struct CacheMetrics {
+  obs::Counter& builds;
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& evictions;
+  obs::Counter& pressure_evictions;
+};
+
+const CacheMetrics& metrics() {
+  auto& registry = obs::MetricsRegistry::global();
+  static const CacheMetrics m{registry.counter(obs::keys::kCacheBuilds),
+                              registry.counter(obs::keys::kCacheHits),
+                              registry.counter(obs::keys::kCacheMisses),
+                              registry.counter(obs::keys::kCacheEvictions),
+                              registry.counter(obs::keys::kMemPressureEvictions)};
+  return m;
+}
+
+}  // namespace
+
 EdWeightCache::EdWeightCache(Options options) : options_(options) {
-  static obs::Counter& builds =
-      obs::MetricsRegistry::global().counter(obs::keys::kCacheBuilds);
-  builds.add(1);
+  metrics().builds.add(1);
 }
 
 EdWeightCache::~EdWeightCache() {
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& hits = registry.counter(obs::keys::kCacheHits);
-  static obs::Counter& misses = registry.counter(obs::keys::kCacheMisses);
-  static obs::Counter& evictions = registry.counter(obs::keys::kCacheEvictions);
-  static obs::Counter& pressure =
-      registry.counter(obs::keys::kMemPressureEvictions);
-  hits.add(hits_.load(std::memory_order_relaxed));
-  misses.add(misses_.load(std::memory_order_relaxed));
-  evictions.add(evictions_.load(std::memory_order_relaxed));
-  pressure.add(pressure_evictions_.load(std::memory_order_relaxed));
   // Return this cache's footprint to the shared ledger before dying —
   // a governed process's MemBudget must not leak bytes across cache
   // lifetimes (Workbench rebuilds caches per view).
@@ -40,8 +53,11 @@ void EdWeightCache::evict_shard(Shard& shard, std::size_t shard_index,
   if (dropped == 0) return;
   const std::size_t freed = dropped * kApproxEntryBytes;
   evictions_.fetch_add(dropped, std::memory_order_relaxed);
-  if (pressure) pressure_evictions_.fetch_add(dropped,
-                                              std::memory_order_relaxed);
+  metrics().evictions.add(dropped);
+  if (pressure) {
+    pressure_evictions_.fetch_add(dropped, std::memory_order_relaxed);
+    metrics().pressure_evictions.add(dropped);
+  }
   obs::flight_recorder().record(obs::FlightEventKind::kCacheEviction, dropped,
                                 shard_index,
                                 pressure ? "mem_pressure" : "entry_cap");
@@ -72,19 +88,18 @@ const EdWeightCache::Entry EdWeightCache::lookup(const Tveg& tveg,
     support::MutexLock lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      // Fill-vs-hit visibility: hit spans make cache effectiveness legible
-      // on the Perfetto timeline (a run dominated by ed_cache_fill spans is
-      // a cold or thrashing cache). Disabled-path cost: one load + branch.
-      obs::ScopedSpan hit_span("ed_cache_hit");
+      count_hit();
       return it->second;
     }
   }
   // Miss: materialize outside the lock (bisection for Nakagami/Rician is the
   // expensive part); a racing filler computes the identical value, so the
-  // duplicate work is harmless and emplace keeps the first.
+  // duplicate work is harmless and emplace keeps the first. Fills are spans
+  // (a run dominated by ed_cache_fill is a cold or thrashing cache); hits
+  // are only counted — a span per hit would flood the span rings.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedSpan fill_span("ed_cache_fill");
+  metrics().misses.add(1);
+  obs::Span fill_span("ed_cache_fill");
   Entry entry;
   entry.ed = tveg.materialize_ed(e, t);
   entry.weight = entry.ed->min_cost_for(tveg.radio().epsilon);
@@ -126,12 +141,16 @@ Cost EdWeightCache::edge_weight(const Tveg& tveg, std::size_t e,
     support::MutexLock lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::ScopedSpan hit_span("ed_cache_hit");
+      count_hit();
       return it->second.weight;
     }
   }
   return lookup(tveg, e, t).weight;
+}
+
+void EdWeightCache::count_hit() const {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  metrics().hits.add(1);
 }
 
 EdWeightCache::Stats EdWeightCache::stats() const {

@@ -82,8 +82,9 @@ class EdWeightCache {
   /// The memoized min-cost weight at the radio's ε for edge `e` at `t`.
   Cost edge_weight(const Tveg& tveg, std::size_t e, Time t) const;
 
-  /// Counter snapshot (monotone; also flushed into the obs registry under
-  /// tveg.cache.* on destruction).
+  /// Counter snapshot of this cache (monotone). The same events are also
+  /// counted, as they happen, into the process-wide obs registry under
+  /// tveg.cache.* and tveg.mem.pressure_evictions.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -111,6 +112,7 @@ class EdWeightCache {
   static constexpr std::size_t kShards = 16;
 
   const Entry lookup(const Tveg& tveg, std::size_t e, Time t) const;
+  void count_hit() const;
   /// (key, shard index) of edge `e` at time `t`.
   std::pair<std::uint64_t, std::size_t> locate(const Tveg& tveg, std::size_t e,
                                                Time t) const;

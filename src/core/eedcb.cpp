@@ -1,24 +1,11 @@
 #include "core/eedcb.hpp"
 
-#include <chrono>
-
 #include "core/prune.hpp"
 #include "graph/steiner.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "support/assert.hpp"
 
 namespace tveg::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 SchedulerResult run_eedcb(const TmedbInstance& instance,
                           const EedcbOptions& options) {
@@ -33,17 +20,15 @@ SchedulerResult run_eedcb(const TmedbInstance& instance,
   instance.validate();
   options.budget.check("eedcb");
 
-  const auto aux_start = Clock::now();
   const AuxGraph aux(instance, dts,
                      {.power_expansion = options.power_expansion,
                       .pool = options.pool,
                       .budget = options.budget});
   options.budget.check("aux_graph");
-  const double aux_ms = ms_since(aux_start);
 
   graph::SteinerSolver solver(aux.digraph());
   SchedulerResult result = run_eedcb_on_aux(instance, dts, aux, solver, options);
-  result.stats.aux_build_ms = aux_ms;
+  result.stats.aux_build_ms = aux.build_ms();
   return result;
 }
 
@@ -67,8 +52,7 @@ SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
   solver.set_pool(options.pool);
   graph::SteinerResult tree;
   {
-    obs::TraceSpan span("steiner");
-    const auto steiner_start = Clock::now();
+    obs::Span span("steiner", &result.stats.steiner_ms);
     switch (options.method) {
       case SteinerMethod::kRecursiveGreedy:
         tree = solver.recursive_greedy(source, terminals,
@@ -78,7 +62,6 @@ SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
         tree = solver.shortest_path_heuristic(source, terminals);
         break;
     }
-    result.stats.steiner_ms = ms_since(steiner_start);
   }
   result.stats.steiner_nodes_expanded = solver.last_query_stats().nodes_expanded;
   result.stats.steiner_relaxations = solver.last_query_stats().relaxations;
@@ -86,9 +69,8 @@ SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
   result.covered_all = tree.feasible;
   result.schedule = aux.extract_schedule(tree);
   if (options.prune && result.covered_all) {
-    const auto prune_start = Clock::now();
+    obs::Span span("prune", &result.stats.prune_ms);
     result.schedule = prune_schedule(instance, result.schedule);
-    result.stats.prune_ms = ms_since(prune_start);
   }
   return result;
 }

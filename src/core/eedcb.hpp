@@ -49,8 +49,9 @@ struct EedcbOptions {
 };
 
 /// Size and work diagnostics of one scheduler run. The *_ms phase timings
-/// are always collected (one clock read per phase); finer-grained tracing
-/// lives in obs::trace and is off unless obs::set_enabled(true).
+/// are always collected: each is the elapsed-time slot of the phase's
+/// obs::Span, so they match the phase tree exactly when tracing is on
+/// (obs::set_enabled(true)).
 struct SchedulerStats {
   std::size_t dts_points = 0;
   std::size_t aux_vertices = 0;

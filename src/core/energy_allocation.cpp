@@ -7,7 +7,7 @@
 #include "nlp/augmented_lagrangian.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -35,7 +35,7 @@ void flush_allocation_metrics(const AllocationOutcome& outcome) {
 AllocationOutcome allocate_energy(const TmedbInstance& instance,
                                   const Schedule& backbone,
                                   const AllocationOptions& options) {
-  obs::TraceSpan span("nlp_allocation");
+  obs::Span span("nlp_allocation");
   instance.validate();
   const Tveg& tveg = *instance.tveg;
   const Time tau = tveg.latency();

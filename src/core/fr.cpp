@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace tveg::core {
 
@@ -17,7 +18,7 @@ void refine_backbone(const TmedbInstance& instance,
                      const AllocationOptions& allocation_options,
                      const FrOptions& fr_options, FrResult& result) {
   if (!result.allocation.feasible) return;
-  obs::TraceSpan span("fr_refine");
+  obs::Span span("fr_refine");
   Schedule backbone = result.backbone.schedule;
 
   auto& registry = obs::MetricsRegistry::global();
@@ -59,6 +60,17 @@ void refine_backbone(const TmedbInstance& instance,
     if (!improved) break;
   }
   result.backbone.schedule = backbone;
+}
+
+/// Adds the losing multi-start attempt's work — phase times and Steiner
+/// work counters, not sizes — to the winner's stats, so the returned stats
+/// account for every aux build and Steiner search the solve ran.
+void add_work(SchedulerStats& into, const SchedulerStats& from) {
+  into.aux_build_ms += from.aux_build_ms;
+  into.steiner_ms += from.steiner_ms;
+  into.prune_ms += from.prune_ms;
+  into.steiner_nodes_expanded += from.steiner_nodes_expanded;
+  into.steiner_relaxations += from.steiner_relaxations;
 }
 
 }  // namespace
@@ -107,7 +119,8 @@ FrResult run_fr_eedcb(const TmedbInstance& instance,
         alt.feasible() &&
         (!best.feasible() || alt.allocation.schedule.total_cost() <
                                  best.allocation.schedule.total_cost());
-    if (alt_wins) best = std::move(alt);
+    if (alt_wins) std::swap(best, alt);
+    add_work(best.backbone.stats, alt.backbone.stats);
   }
   return best;
 }

@@ -29,7 +29,10 @@ struct FrOptions {
 
 /// Combined backbone + allocation outcome.
 struct FrResult {
-  SchedulerResult backbone;      ///< relays and times (costs are ε-costs)
+  /// Relays and times (costs are ε-costs). Under multi-start, `stats`
+  /// times and Steiner work counters sum both attempts; sizes are the
+  /// winner's.
+  SchedulerResult backbone;
   AllocationOutcome allocation;  ///< NLP-optimized costs
   /// Final schedule (allocation.schedule); empty when allocation failed.
   const Schedule& schedule() const { return allocation.schedule; }

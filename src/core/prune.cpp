@@ -6,7 +6,6 @@
 
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
 
 namespace tveg::core {
@@ -33,7 +32,6 @@ Schedule prune_schedule(const TmedbInstance& instance, Schedule schedule) {
 
 Schedule prune_schedule(const TmedbInstance& instance, Schedule schedule,
                         const PruneOptions& options) {
-  obs::TraceSpan span("prune");
   instance.validate();
 
   std::size_t checks = 0;

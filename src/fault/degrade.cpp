@@ -10,7 +10,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace tveg::fault {
 
@@ -66,7 +66,7 @@ void count_descent(const Error& error) {
 RobustSolveResult robust_solve(const core::TmedbInstance& instance,
                                const DiscreteTimeSet& dts,
                                const RobustSolveOptions& options) {
-  obs::TraceSpan span("robust_solve");
+  obs::Span span("robust_solve");
   instance.validate();
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& solves = registry.counter(obs::keys::kFaultSolveAttempts);

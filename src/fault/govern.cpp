@@ -10,7 +10,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "support/cancel.hpp"
 #include "support/deadline.hpp"
 #include "support/watchdog.hpp"
@@ -85,7 +85,7 @@ std::vector<GovernedSolve> solve_many_governed(
     const std::vector<core::SolveRequest>& requests,
     const GovernOptions& options,
     const std::vector<support::CancelSource>& cancels) {
-  obs::TraceSpan span("solve_many_governed");
+  obs::Span span("solve_many_governed");
   std::vector<GovernedSolve> results(requests.size());
   if (requests.empty()) return results;
   GovernCounters& counters = GovernCounters::get();

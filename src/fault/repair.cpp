@@ -6,7 +6,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "online/driver.hpp"
 #include "online/policy.hpp"
 #include "support/math.hpp"
@@ -101,7 +101,7 @@ RepairOutcome repair_schedule(const core::TmedbInstance& planned_instance,
                               const DiscreteTimeSet& dts,
                               const core::Schedule& planned,
                               const RepairOptions& options) {
-  obs::TraceSpan span("schedule_repair");
+  obs::Span span("schedule_repair");
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& passes = registry.counter(obs::keys::kFaultRepairPasses);
   static obs::Counter& diverged_metric =

@@ -244,7 +244,7 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
       const std::size_t per = (n + chunks - 1) / chunks;
       std::vector<Best> local(chunks);
       pool_->parallel_for(0, chunks, [&](std::size_t c) {
-        obs::ScopedSpan chunk_span("steiner_density_scan");
+        obs::Span chunk_span("steiner_density_scan");
         const auto lo = static_cast<VertexId>(c * per);
         const auto hi = static_cast<VertexId>(std::min(n, (c + 1) * per));
         local[c] = scan_range(lo, hi);
@@ -299,7 +299,7 @@ SteinerResult SteinerSolver::recursive_greedy(
   if (pool_ != nullptr && state.terminals.size() > 1) {
     std::vector<ShortestPaths> runs(state.terminals.size());
     pool_->parallel_for(0, state.terminals.size(), [&](std::size_t k) {
-      obs::ScopedSpan run_span("steiner_reverse_dijkstra");
+      obs::Span run_span("steiner_reverse_dijkstra");
       budget_.check("steiner");
       auto ws = acquire_workspace();
       runs[k] = dijkstra(reversed_, state.terminals[k], *ws);
@@ -354,7 +354,7 @@ SteinerResult SteinerSolver::exact_small(
   std::vector<ShortestPaths> sp(n);
   if (pool_ != nullptr && n > 1) {
     pool_->parallel_for(0, n, [&](std::size_t v) {
-      obs::ScopedSpan run_span("steiner_all_source");
+      obs::Span run_span("steiner_all_source");
       budget_.check("steiner_all_source");
       auto ws = acquire_workspace();
       sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws);

@@ -30,7 +30,6 @@ Json phase_json(const TraceNodeSnapshot& n) {
   j.set("name", n.name);
   j.set("count", n.count);
   j.set("wall_ms", n.wall_ms);
-  j.set("rss_delta_kb", n.rss_delta_kb);
   Json children = Json::array();
   for (const auto& c : n.children) children.push_back(phase_json(c));
   j.set("children", std::move(children));
@@ -74,7 +73,7 @@ std::string snapshot_json(int indent) { return snapshot().dump(indent); }
 
 Json phase_attribution() {
   // Join phase_totals (wall time + counts summed across the tree) with the
-  // per-phase duration histograms fed by TraceSpan closes; name-sorted so
+  // per-phase duration histograms fed by obs::Span closes; name-sorted so
   // bench reports diff cleanly.
   const MetricsRegistry::Snapshot m = MetricsRegistry::global().snapshot();
   const std::string prefix = keys::kPhaseMsPrefix;

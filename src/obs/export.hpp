@@ -11,7 +11,7 @@
 //       "histograms": { "tveg.pool.queue_wait_us":
 //                         {"count","sum","min","max","p50","p90","p99"} }
 //     },
-//     "phases": [ {"name","count","wall_ms","rss_delta_kb","children":[...]} ],
+//     "phases": [ {"name","count","wall_ms","children":[...]} ],
 //     "phase_totals": { "<phase name>": <wall_ms summed across the tree> }
 //   }
 #pragma once

@@ -15,8 +15,8 @@
 //
 // Counters/gauges/histograms are always live (no enabled check): an
 // uncontended relaxed atomic add is too cheap to be worth a branch.
-// Anything needing clock or /proc reads is gated behind obs::enabled()
-// (see obs/trace.hpp).
+// Clock reads go through obs::Span (obs/span.hpp), gated behind
+// obs::enabled() unless the caller asks for an elapsed-time slot.
 #pragma once
 
 #include <array>

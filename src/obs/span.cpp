@@ -1,11 +1,15 @@
+// obs::Span and its three sinks: the aggregate phase tree (obs/trace.hpp),
+// the per-thread span rings with their Chrome/Perfetto export
+// (obs/span.hpp), and the caller's elapsed-time slot.
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <set>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -17,9 +21,114 @@
 
 namespace tveg::obs {
 
+namespace detail {
+std::atomic<bool> g_enabled{false};
+}  // namespace detail
+
 namespace {
 
-std::atomic<bool> g_span_tracing{false};
+using Clock = std::chrono::steady_clock;
+
+// -- clock -----------------------------------------------------------------
+
+Clock::time_point epoch() noexcept {
+  static const Clock::time_point e = Clock::now();
+  return e;
+}
+
+/// Nanoseconds since the process-wide tracing epoch (first use); readings
+/// taken before the epoch clamp to 0.
+std::uint64_t to_epoch_ns(Clock::time_point tp) noexcept {
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch());
+  return ns.count() > 0 ? static_cast<std::uint64_t>(ns.count()) : 0;
+}
+
+std::uint64_t now_ns() noexcept {
+  epoch();  // pin the epoch before the reading it is subtracted from
+  return to_epoch_ns(Clock::now());
+}
+
+// -- phase tree --------------------------------------------------------------
+
+struct Node {
+  std::string name;
+  std::vector<std::size_t> children;  // guarded by Tree::mutex
+  std::atomic<std::uint64_t> total_ns{0};
+  std::atomic<std::uint64_t> count{0};
+  /// Per-phase duration histogram (tveg.obs.phase_ms.<name>), resolved once
+  /// at node creation so span close never takes the registry mutex.
+  Histogram* hist = nullptr;
+};
+
+struct Tree {
+  support::Mutex mutex;
+  // deque: references stay valid as the tree grows, so accumulation through
+  // stable Node pointers needs no lock; the deque itself (growth and child
+  // lists) is guarded.
+  std::deque<Node> nodes TVEG_GUARDED_BY(mutex);
+
+  // Single-threaded construction: no other thread can alias the tree yet.
+  Tree() TVEG_NO_THREAD_SAFETY_ANALYSIS { clear(); }
+
+  void clear() TVEG_REQUIRES(mutex) {
+    nodes.clear();
+    nodes.emplace_back();
+    nodes[0].name = "root";
+  }
+
+  /// Finds or creates the child of `parent` named `name`. Returns the index
+  /// (for the thread's current-phase cursor) and a stable pointer (deque
+  /// references survive growth, so accumulation needs no lock).
+  std::pair<std::size_t, Node*> child(std::size_t parent, const char* name) {
+    support::MutexLock lock(mutex);
+    for (std::size_t c : nodes[parent].children)
+      if (nodes[c].name == name) return {c, &nodes[c]};
+    const std::size_t id = nodes.size();
+    nodes.emplace_back();
+    nodes[id].name = name;
+    nodes[id].hist = &MetricsRegistry::global().histogram(
+        std::string(keys::kPhaseMsPrefix) + name);
+    nodes[parent].children.push_back(id);
+    return {id, &nodes[id]};
+  }
+};
+
+Tree& tree() {
+  static Tree* t = new Tree();  // never destroyed: spans may outlive main
+  return *t;
+}
+
+TraceNodeSnapshot snapshot_node(const Tree& t, std::size_t id)
+    TVEG_REQUIRES(t.mutex) {
+  const Node& n = t.nodes[id];
+  TraceNodeSnapshot s;
+  s.name = n.name;
+  s.count = n.count.load(std::memory_order_relaxed);
+  s.wall_ms =
+      static_cast<double>(n.total_ns.load(std::memory_order_relaxed)) / 1e6;
+  for (std::size_t c : n.children) s.children.push_back(snapshot_node(t, c));
+  return s;
+}
+
+void report_node(std::ostream& os, const TraceNodeSnapshot& n, int depth) {
+  for (int i = 0; i < depth; ++i) os << "  ";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%10.3f ms", n.wall_ms);
+  os << n.name << "  x" << n.count << "  " << buf << "\n";
+  for (const auto& c : n.children) report_node(os, c, depth + 1);
+}
+
+void accumulate_totals(const TraceNodeSnapshot& n,
+                       std::map<std::string, TraceNodeSnapshot>& totals) {
+  auto& slot = totals[n.name];
+  slot.name = n.name;
+  slot.count += n.count;
+  slot.wall_ms += n.wall_ms;
+  for (const auto& c : n.children) accumulate_totals(c, totals);
+}
+
+// -- span rings --------------------------------------------------------------
 
 /// Queue-track tids live 1000 above the owning worker's slot so both rows
 /// can coexist in Perfetto without colliding with real thread slots.
@@ -40,25 +149,33 @@ struct Record {
 
 constexpr std::size_t kRingCapacity = 1 << 15;
 
+Counter& drop_counter() {
+  static Counter& c = MetricsRegistry::global().counter(keys::kObsSpanDrops);
+  return c;
+}
+
 /// Per-thread ring; owned jointly by the thread (thread_local shared_ptr)
 /// and the registry, so records survive thread exit until the next export.
 struct Ring {
   support::Mutex mutex;  // uncontended except at export
   std::vector<Record> records TVEG_GUARDED_BY(mutex);  // capacity kRingCapacity
   std::uint64_t written TVEG_GUARDED_BY(mutex) = 0;  // records ever pushed
-  std::uint64_t dropped TVEG_GUARDED_BY(mutex) = 0;
   std::uint32_t slot = 0;  // written once at registration, then immutable
   std::string name TVEG_GUARDED_BY(mutex);
 
   void push(const Record& r) {
-    support::MutexLock lock(mutex);
-    if (records.size() < kRingCapacity) {
-      records.push_back(r);
-    } else {
-      records[written % kRingCapacity] = r;
-      ++dropped;
+    bool dropped = false;
+    {
+      support::MutexLock lock(mutex);
+      if (records.size() < kRingCapacity) {
+        records.push_back(r);
+      } else {
+        records[written % kRingCapacity] = r;
+        dropped = true;
+      }
+      ++written;
     }
-    ++written;
+    if (dropped) drop_counter().add(1);
   }
 };
 
@@ -74,15 +191,18 @@ Registry& registry() {
   return *r;
 }
 
-/// Per-thread state. The sequence counter is plain (only the owning thread
-/// touches it); the ring pointer is shared with the registry.
+/// Per-thread state: the ring (shared with the registry), the sequence
+/// counter and the current phase-tree node. Only the owning thread touches
+/// `next_seq` and `current`.
 struct ThreadState {
   std::shared_ptr<Ring> ring;
   std::uint64_t next_seq = 0;
+  std::size_t current = 0;  ///< phase-tree cursor; 0 = root
 };
 
 ThreadState& thread_state() {
   thread_local ThreadState state = [] {
+    drop_counter();  // registers the key, so snapshots carry it even at 0
     ThreadState s;
     s.ring = std::make_shared<Ring>();
     Registry& reg = registry();
@@ -92,17 +212,6 @@ ThreadState& thread_state() {
     return s;
   }();
   return state;
-}
-
-std::chrono::steady_clock::time_point epoch() noexcept {
-  static const std::chrono::steady_clock::time_point e =
-      std::chrono::steady_clock::now();
-  return e;
-}
-
-Counter& drop_counter() {
-  static Counter& c = MetricsRegistry::global().counter(keys::kObsSpanDrops);
-  return c;
 }
 
 Json event(const char* ph, std::uint32_t tid, const std::string& name,
@@ -144,23 +253,88 @@ void emit_thread_spans(std::vector<Record> records, std::uint32_t tid,
 
 }  // namespace
 
-void set_span_tracing(bool on) noexcept {
-  g_span_tracing.store(on, std::memory_order_relaxed);
+// -- the switch and the span -------------------------------------------------
+
+void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-bool span_tracing() noexcept {
-  return g_span_tracing.load(std::memory_order_relaxed);
+void Span::open() noexcept {
+  open_ = true;
+  if (enabled()) {
+    ThreadState& state = thread_state();
+    const auto [id, node] = tree().child(state.current, name_);
+    node_ = node;
+    prev_ = state.current;
+    state.current = id;
+    open_seq_ = state.next_seq++;
+  }
+  begin_ns_ = now_ns();
 }
 
-std::uint64_t now_epoch_ns() noexcept {
-  return to_epoch_ns(std::chrono::steady_clock::now());
+void Span::close() noexcept {
+  const std::uint64_t end_ns = now_ns();
+  const std::uint64_t elapsed_ns = end_ns - begin_ns_;
+  const double elapsed_ms = static_cast<double>(elapsed_ns) / 1e6;
+  if (slot_ != nullptr) *slot_ = elapsed_ms;
+  if (node_ == nullptr) return;
+  Node& n = *static_cast<Node*>(node_);
+  n.total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
+  n.count.fetch_add(1, std::memory_order_relaxed);
+  n.hist->observe(elapsed_ms);
+  ThreadState& state = thread_state();
+  state.current = prev_;
+  Record r;
+  r.name = name_;
+  r.begin_ns = begin_ns_;
+  r.end_ns = end_ns;
+  r.open_seq = open_seq_;
+  r.close_seq = state.next_seq++;
+  state.ring->push(r);
 }
 
-std::uint64_t to_epoch_ns(std::chrono::steady_clock::time_point tp) noexcept {
-  const auto d = tp - epoch();
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(d);
-  return ns.count() > 0 ? static_cast<std::uint64_t>(ns.count()) : 0;
+// -- phase tree queries ------------------------------------------------------
+
+void declare_phases(std::initializer_list<const char*> names) {
+  Tree& t = tree();
+  for (const char* name : names) t.child(0, name);
 }
+
+std::vector<TraceNodeSnapshot> trace_snapshot() {
+  Tree& t = tree();
+  support::MutexLock lock(t.mutex);
+  std::vector<TraceNodeSnapshot> out;
+  for (std::size_t c : t.nodes[0].children)
+    out.push_back(snapshot_node(t, c));
+  return out;
+}
+
+std::vector<std::pair<std::string, TraceNodeSnapshot>> phase_totals() {
+  std::map<std::string, TraceNodeSnapshot> totals;
+  for (const TraceNodeSnapshot& n : trace_snapshot())
+    accumulate_totals(n, totals);
+  std::vector<std::pair<std::string, TraceNodeSnapshot>> out;
+  for (auto& [name, node] : totals) {
+    node.children.clear();
+    out.emplace_back(name, std::move(node));
+  }
+  return out;
+}
+
+void trace_reset() {
+  Tree& t = tree();
+  support::MutexLock lock(t.mutex);
+  t.clear();
+  // Resets the calling thread; others must have no open spans.
+  thread_state().current = 0;
+}
+
+void trace_report(std::ostream& os) {
+  os << "phase tree (wall time, entries):\n";
+  for (const TraceNodeSnapshot& n : trace_snapshot()) report_node(os, n, 1);
+}
+
+// -- rings and export --------------------------------------------------------
 
 void set_current_thread_name(const std::string& name) {
   Ring& ring = *thread_state().ring;
@@ -168,26 +342,14 @@ void set_current_thread_name(const std::string& name) {
   ring.name = name;
 }
 
-std::uint64_t span_open() noexcept { return thread_state().next_seq++; }
-
-void span_close(const char* name, std::uint64_t open_seq,
-                std::uint64_t begin_ns, std::uint64_t end_ns) noexcept {
-  ThreadState& state = thread_state();
-  Record r;
-  r.name = name;
-  r.begin_ns = begin_ns;
-  r.end_ns = end_ns;
-  r.open_seq = open_seq;
-  r.close_seq = state.next_seq++;
-  state.ring->push(r);
-}
-
-void span_queue_wait(std::uint64_t begin_ns, std::uint64_t end_ns) noexcept {
+void span_queue_wait(Clock::time_point enqueued,
+                     Clock::time_point dequeued) noexcept {
+  if (!enabled()) return;
   ThreadState& state = thread_state();
   Record r;
   r.name = "queue_wait";
-  r.begin_ns = begin_ns;
-  r.end_ns = end_ns;
+  r.begin_ns = to_epoch_ns(enqueued);
+  r.end_ns = to_epoch_ns(dequeued);
   r.open_seq = state.next_seq++;
   r.close_seq = state.next_seq++;
   r.queue = true;
@@ -195,8 +357,6 @@ void span_queue_wait(std::uint64_t begin_ns, std::uint64_t end_ns) noexcept {
 }
 
 Json chrome_trace() {
-  // Snapshot every ring under its own mutex; drop counts roll into the
-  // registry metric here so exports and metrics snapshots agree.
   struct Snapshot {
     std::uint32_t slot;
     std::string name;
@@ -204,7 +364,6 @@ Json chrome_trace() {
     std::vector<Record> queue;
   };
   std::vector<Snapshot> threads;
-  std::uint64_t dropped = 0;
   {
     Registry& reg = registry();
     support::MutexLock lock(reg.mutex);
@@ -215,16 +374,8 @@ Json chrome_trace() {
       s.name = ring->name;
       for (const Record& r : ring->records)
         (r.queue ? s.queue : s.spans).push_back(r);
-      dropped += ring->dropped;
       threads.push_back(std::move(s));
     }
-  }
-  if (dropped > 0) {
-    // value() is a total since reset; re-sync rather than double-add.
-    Counter& c = drop_counter();
-    const std::uint64_t have =
-        c.value();  // tveg-lint: allow(unchecked-result) -- Counter, not Result
-    if (dropped > have) c.add(dropped - have);
   }
 
   Json events = Json::array();
@@ -345,16 +496,7 @@ std::string validate_chrome_trace(const Json& doc) {
   return "";
 }
 
-std::uint64_t span_drop_count() noexcept {
-  Registry& reg = registry();
-  support::MutexLock lock(reg.mutex);
-  std::uint64_t dropped = 0;
-  for (const auto& ring : reg.rings) {
-    support::MutexLock ring_lock(ring->mutex);
-    dropped += ring->dropped;
-  }
-  return dropped;
-}
+std::uint64_t span_drop_count() noexcept { return drop_counter().value(); }
 
 void span_reset() {
   Registry& reg = registry();
@@ -363,8 +505,8 @@ void span_reset() {
     support::MutexLock ring_lock(ring->mutex);
     ring->records.clear();
     ring->written = 0;
-    ring->dropped = 0;
   }
+  drop_counter().reset();
 }
 
 }  // namespace tveg::obs

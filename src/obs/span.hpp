@@ -1,20 +1,28 @@
-// Thread-aware span tracing (observability v2, see DESIGN.md).
+// obs::Span — the one timing primitive (see DESIGN.md "Observability v2").
 //
-// Where obs/trace.hpp aggregates phases into one process-wide tree, this
-// module records *individual* spans per thread — a low-overhead,
-// thread-local ring of completed span records, merged at export time into
-// Chrome/Perfetto `trace_event` JSON (loadable in ui.perfetto.dev). It is
-// what makes wall-clock visible *across threads*: ThreadPool workers show
-// their queue-wait and task spans on their own tracks, the parallel
-// Steiner/aux phases show which worker ran which chunk, and Monte-Carlo
-// trials show per-trial durations.
+//   double steiner_ms = 0;
+//   {
+//     obs::Span span("steiner", &steiner_ms);
+//     ... work ...
+//   }   // steiner_ms written; tree, histogram and ring fed when enabled
 //
-// Cost model: when span tracing is disabled (the default), opening a span
-// is one relaxed atomic load and a branch — no clock read, no lock, no
-// allocation. When enabled, a span close takes two steady_clock reads plus
+// Every span has one close path feeding three sinks:
+//   * the aggregate phase tree (obs/trace.hpp) and its
+//     `tveg.obs.phase_ms.<name>` histogram, when tracing is enabled;
+//   * the calling thread's span ring, when tracing is enabled — merged at
+//     export time into Chrome/Perfetto `trace_event` JSON (loadable in
+//     ui.perfetto.dev), so pool workers, the parallel Steiner/aux phases
+//     and Monte-Carlo trials show up on their own thread tracks;
+//   * the optional `elapsed_ms` slot, which is always written — it is how
+//     SchedulerStats and other always-on timings read a phase's duration,
+//     so each interval is timed exactly once.
+//
+// Cost model: with tracing disabled, a span without a slot is one relaxed
+// atomic load and a branch — no clock read, no lock, no allocation. A span
+// with a slot adds two steady_clock reads. When enabled, a close also takes
 // a short uncontended per-thread mutex push into that thread's ring
 // (contended only by an exporter). Rings are fixed-size; overflow drops the
-// oldest records and counts them (tveg.obs.span_drops).
+// oldest records and counts them in tveg.obs.span_drops as it happens.
 //
 // Determinism note: span records carry steady_clock timestamps (allowed —
 // monotonic, never feeds results); they exist for humans and Perfetto, not
@@ -23,64 +31,55 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "obs/trace.hpp"
 
 namespace tveg::obs {
 
 class Json;
 
-/// Master switch for span recording. Off by default; independent of
-/// obs::set_enabled (the aggregate phase tree), though the CLI turns both
-/// on for --trace-out.
-void set_span_tracing(bool on) noexcept;
-bool span_tracing() noexcept;
+/// RAII span. `name` must have static storage duration (string literals).
+class Span {
+ public:
+  explicit Span(const char* name, double* elapsed_ms = nullptr) noexcept
+      : name_(name), slot_(elapsed_ms) {
+    if (elapsed_ms != nullptr || enabled()) open();
+  }
+  ~Span() {
+    if (open_) close();
+  }
 
-/// Nanoseconds since the process-wide tracing epoch (first use).
-std::uint64_t now_epoch_ns() noexcept;
-/// Converts an already-taken steady_clock reading to epoch-relative ns.
-std::uint64_t to_epoch_ns(std::chrono::steady_clock::time_point tp) noexcept;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+ private:
+  void open() noexcept;
+  void close() noexcept;
+
+  const char* name_;
+  double* slot_;
+  bool open_ = false;
+  /// Stable phase-tree node (no lock on close); non-null iff tracing was on
+  /// at open, so the close also feeds the tree and the ring.
+  void* node_ = nullptr;
+  std::size_t prev_ = 0;      ///< the thread's previous current phase
+  std::uint64_t open_seq_ = 0;
+  std::uint64_t begin_ns_ = 0;
+};
 
 /// Registers a human-readable name for the calling thread ("main",
 /// "pool-worker-3"); shown as the Perfetto track name. Cheap; callable
 /// whether or not tracing is enabled.
 void set_current_thread_name(const std::string& name);
 
-/// Low-level span protocol (used by TraceSpan and ThreadPool; prefer
-/// ScopedSpan at call sites). `span_open` reserves the calling thread's
-/// next sequence token; `span_close` writes the completed record. `name`
-/// must have static storage duration (string literals).
-std::uint64_t span_open() noexcept;
-void span_close(const char* name, std::uint64_t open_seq,
-                std::uint64_t begin_ns, std::uint64_t end_ns) noexcept;
-
 /// Records a queue-wait interval (task enqueue → dequeue) on the calling
 /// worker's queue track; exported as a Perfetto complete ("X") event.
-void span_queue_wait(std::uint64_t begin_ns, std::uint64_t end_ns) noexcept;
-
-/// RAII ring-only span: records into the calling thread's span ring when
-/// span tracing is enabled, and does nothing else (no aggregate-tree
-/// accounting — use obs::TraceSpan for phases that should also aggregate).
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name) noexcept {
-    if (!span_tracing()) return;
-    name_ = name;
-    open_seq_ = span_open();
-    begin_ns_ = now_epoch_ns();
-  }
-  ~ScopedSpan() {
-    if (name_ == nullptr) return;
-    span_close(name_, open_seq_, begin_ns_, now_epoch_ns());
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  std::uint64_t open_seq_ = 0;
-  std::uint64_t begin_ns_ = 0;
-};
+/// Records nothing while tracing is disabled.
+void span_queue_wait(std::chrono::steady_clock::time_point enqueued,
+                     std::chrono::steady_clock::time_point dequeued) noexcept;
 
 /// Merges every thread's ring into one Chrome `trace_event` document:
 ///   { "traceEvents": [ {"ph":"M"...}, {"ph":"B"...}, {"ph":"E"...},
@@ -105,11 +104,12 @@ void write_chrome_trace_file(const std::string& path);
 /// Returns "" when valid, else the first violation.
 std::string validate_chrome_trace(const Json& doc);
 
-/// Total records dropped to ring overflow since the last reset.
+/// Records dropped to ring overflow since the last reset (the
+/// tveg.obs.span_drops counter).
 std::uint64_t span_drop_count() noexcept;
 
-/// Clears every thread's ring and drop counts (thread registrations and
-/// names survive). Only call with no spans open and recording quiescent.
+/// Clears every thread's ring and the drop counter (thread registrations
+/// and names survive). Only call with no spans open and recording quiescent.
 void span_reset();
 
 }  // namespace tveg::obs

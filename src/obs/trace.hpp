@@ -1,76 +1,41 @@
-// Scoped phase tracing: a process-wide hierarchical phase tree built from
-// RAII spans.
+// The tracing switch and the aggregate phase tree.
 //
 //   obs::set_enabled(true);
 //   {
-//     obs::TraceSpan span("steiner");   // nests under the caller's span
+//     obs::Span span("steiner");   // nests under the caller's span
 //     ... work ...
-//   }                                   // accumulates wall time + count
+//   }                              // accumulates wall time + count
 //
-// The tree aggregates by (parent, name): re-entering the same phase under
-// the same parent accumulates into one node, so repeated pipeline runs
-// produce totals, not an ever-growing trace. Each thread tracks its own
-// current span; spans opened on ThreadPool workers attach under the root.
-//
-// Cost model: when tracing is disabled (the default), constructing a span
-// is two relaxed atomic loads and a branch — no clock read, no allocation,
-// no lock. When enabled, open/close takes a short mutex-protected child
-// lookup plus two steady_clock reads; optional RSS tracking adds a
-// /proc/self/statm read per open/close and is off unless requested.
-//
-// Observability v2: every TraceSpan additionally (a) feeds the per-phase
-// duration histogram `tveg.obs.phase_ms.<name>` (the bench-gate attribution
-// source) when tracing is enabled, and (b) records an individual span into
-// the calling thread's ring (obs/span.hpp) when span tracing is enabled —
-// so the same call sites serve the aggregate tree, the per-phase
-// percentiles, and the Perfetto export.
+// obs::Span (obs/span.hpp) is the tree's only writer. The tree aggregates
+// by (parent, name): re-entering the same phase under the same parent
+// accumulates into one node, so repeated pipeline runs produce totals, not
+// an ever-growing trace. Each thread tracks its own current span; spans
+// opened on a ThreadPool worker nest under that worker's `pool_task` span.
+// Every node also feeds the per-phase duration histogram
+// `tveg.obs.phase_ms.<name>` (the bench-gate attribution source).
 #pragma once
 
-#include <chrono>
-#include <cstddef>
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tveg::obs {
 
-/// Master switch for tracing and for any metric needing clock or /proc
-/// reads. Off by default.
+namespace detail {
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
+/// The one tracing switch: the phase tree, the phase histograms, the span
+/// rings and the Chrome/Perfetto export all record while it is on. Off by
+/// default.
 void set_enabled(bool on) noexcept;
-bool enabled() noexcept;
-
-/// When on (and tracing is enabled), every span also records the RSS delta
-/// across its lifetime. Off by default: it costs two /proc reads per span.
-void set_rss_tracking(bool on) noexcept;
-
-/// RAII phase span. Construction pushes this span as the calling thread's
-/// current phase; destruction pops it and accumulates elapsed wall time.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) noexcept;
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// Wall time since construction in ms; 0 when tracing is disabled.
-  double elapsed_ms() const noexcept;
-
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t node_ = kNone;
-  void* node_ptr_ = nullptr;  ///< stable Node*; avoids locking on close
-  std::size_t prev_ = kNone;
-  std::chrono::steady_clock::time_point start_;
-  long long rss_before_kb_ = -1;
-  const char* ring_name_ = nullptr;  ///< non-null while a ring span is open
-  std::uint64_t ring_open_seq_ = 0;
-};
-
-/// The natural name at pipeline call sites ("time this phase").
-using PhaseTimer = TraceSpan;
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 
 /// Ensures the named phases exist as root children (zero counts if never
 /// entered) — keeps exported schemas stable across algorithms that skip
@@ -82,7 +47,6 @@ struct TraceNodeSnapshot {
   std::string name;
   std::uint64_t count = 0;        ///< completed entries
   double wall_ms = 0;             ///< summed wall time
-  long long rss_delta_kb = 0;     ///< summed RSS delta (0 unless tracked)
   std::vector<TraceNodeSnapshot> children;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/monte_carlo.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -189,7 +187,6 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
   const auto& txs = schedule.transmissions();
   const auto n = static_cast<double>(tveg.node_count());
 
-  obs::TraceSpan span("monte_carlo");
   std::vector<double> ratios(options.trials);
   std::atomic<std::size_t> full_count{0};
   std::atomic<std::size_t> total_draws{0};
@@ -197,7 +194,7 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
   std::atomic<std::size_t> total_tx_faults{0};
 
   auto trial = [&](std::size_t i) {
-    obs::ScopedSpan trial_span("mc_trial");
+    obs::Span trial_span("mc_trial");
     options.budget.check("mc_trial");
     // Per-trial stream via double-avalanche derivation: XOR with a multiple
     // of the golden gamma (the old scheme) let two scenario seeds share
@@ -216,16 +213,15 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
     total_tx_faults.fetch_add(state.tx_faults_hit, std::memory_order_relaxed);
   };
 
-  const auto sim_start = std::chrono::steady_clock::now();
-  if (options.parallel) {
-    support::parallel_for(0, options.trials, trial, options.budget.cancel);
-  } else {
-    for (std::size_t i = 0; i < options.trials; ++i) trial(i);
+  double sim_ms = 0;
+  {
+    obs::Span span("monte_carlo", &sim_ms);
+    if (options.parallel) {
+      support::parallel_for(0, options.trials, trial, options.budget.cancel);
+    } else {
+      for (std::size_t i = 0; i < options.trials; ++i) trial(i);
+    }
   }
-  const double sim_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    sim_start)
-          .count();
 
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& runs_metric = registry.counter(obs::keys::kMcRuns);
@@ -240,8 +236,8 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
   trials_metric.add(options.trials);
   draws_metric.add(total_draws.load());
   tx_faults_metric.add(total_tx_faults.load());
-  if (sim_seconds > 0)
-    rate_metric.set(static_cast<double>(total_draws.load()) / sim_seconds);
+  if (sim_ms > 0)
+    rate_metric.set(static_cast<double>(total_draws.load()) * 1e3 / sim_ms);
 
   support::RunningStat stat;
   for (double r : ratios) stat.add(r);

@@ -36,6 +36,10 @@ struct CancelState {
   std::atomic<bool> cancelled{false};
   /// Heartbeat: bumped on every token poll, watched by the Watchdog.
   std::atomic<std::uint64_t> polls{0};
+  /// The poll count at which a poll fires the cancel itself
+  /// (CancelSource::request_cancel_at_poll); never by default. Tokens copy
+  /// it when they are made, so a poll reads no further shared state.
+  std::atomic<std::uint64_t> cancel_at_poll{UINT64_MAX};
 };
 }  // namespace detail
 
@@ -56,15 +60,14 @@ class CancelToken {
   /// One heartbeat tick without the throw — for loops that want to report
   /// liveness but handle cancellation at a coarser granularity.
   void note_poll() const {
-    if (state_ != nullptr)
-      state_->polls.fetch_add(1, std::memory_order_relaxed);
+    if (state_ != nullptr) tick();
   }
 
   /// The poll: ticks the heartbeat and throws CancelledError when the
   /// source has requested cancellation. `where` names the phase.
   void check(const char* where) const {
     if (state_ == nullptr) return;
-    state_->polls.fetch_add(1, std::memory_order_relaxed);
+    tick();
     if (state_->cancelled.load(std::memory_order_relaxed))
       throw CancelledError(std::string("solve cancelled in ") + where);
   }
@@ -72,8 +75,18 @@ class CancelToken {
  private:
   friend class CancelSource;
   explicit CancelToken(std::shared_ptr<detail::CancelState> state)
-      : state_(std::move(state)) {}
+      : state_(std::move(state)),
+        cancel_at_poll_(
+            state_->cancel_at_poll.load(std::memory_order_relaxed)) {}
+
+  void tick() const {
+    if (state_->polls.fetch_add(1, std::memory_order_relaxed) + 1 >=
+        cancel_at_poll_)
+      state_->cancelled.store(true, std::memory_order_relaxed);
+  }
+
   std::shared_ptr<detail::CancelState> state_;
+  std::uint64_t cancel_at_poll_ = UINT64_MAX;
 };
 
 /// The requesting side. Copies share the underlying state (so a Watchdog
@@ -88,6 +101,14 @@ class CancelSource {
   /// Idempotent and safe from any thread.
   void request_cancel() const {
     state_->cancelled.store(true, std::memory_order_relaxed);
+  }
+
+  /// Test seam: cancels from inside the solve, on the poll that brings
+  /// polls() to `poll` — a deterministic mid-solve cancel point, where a
+  /// firer thread could be starved until the solve has ended. Applies to
+  /// tokens made after the call.
+  void request_cancel_at_poll(std::uint64_t poll) const {
+    state_->cancel_at_poll.store(poll, std::memory_order_relaxed);
   }
 
   bool cancel_requested() const {

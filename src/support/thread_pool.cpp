@@ -80,22 +80,21 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     if (task.timed) {
       const auto start = Clock::now();
       wait_metric.observe(us_between(task.enqueued, start));
-      // Span tracing: the enqueue→dequeue gap lands on this worker's queue
-      // track; the task body itself is a pool_task span on the worker's own
-      // track (phase TraceSpans inside the body nest under it).
-      if (obs::span_tracing())
-        obs::span_queue_wait(obs::to_epoch_ns(task.enqueued),
-                             obs::to_epoch_ns(start));
+      // The enqueue→dequeue gap lands on this worker's queue track; the
+      // task body itself is a pool_task span on the worker's own track
+      // (spans inside the body nest under it), and its slot is the busy
+      // time.
+      obs::span_queue_wait(task.enqueued, start);
+      double task_ms = 0;
       {
-        obs::ScopedSpan task_span("pool_task");
+        obs::Span task_span("pool_task", &task_ms);
         try {
           task.fn();
         } catch (...) {
           dropped_metric.add(1);
         }
       }
-      busy_metric.add(
-          static_cast<std::uint64_t>(us_between(start, Clock::now())));
+      busy_metric.add(static_cast<std::uint64_t>(task_ms * 1e3));
     } else {
       try {
         task.fn();
@@ -111,7 +110,7 @@ void ThreadPool::enqueue(std::function<void()> fn) {
     MutexLock lock(mutex_);
     if (stopping_)
       throw std::runtime_error("ThreadPool: submit after shutdown");
-    const bool timed = obs::enabled() || obs::span_tracing();
+    const bool timed = obs::enabled();
     const auto now = timed ? Clock::now() : Clock::time_point{};
     tasks_.push({std::move(fn), now, timed});
   }
@@ -193,7 +192,7 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
       }
       return;
     }
-    const bool timed = obs::enabled() || obs::span_tracing();
+    const bool timed = obs::enabled();
     const auto now = timed ? Clock::now() : Clock::time_point{};
     for (std::size_t chunk = 1; chunk < chunks; ++chunk)
       tasks_.push({[run_chunk, chunk] { run_chunk(chunk); }, now, timed});

@@ -308,6 +308,43 @@ void check_no_map_in_hot_path(bool honor, const std::string& path,
   }
 }
 
+/// One-timing-path invariant: every timed interval in solver code goes
+/// through obs::Span, whose close feeds the phase tree, the span rings and
+/// the caller's elapsed-time slot at once. A steady_clock or `::now(` read
+/// under src/ outside obs/, support/ and tools/ is a further, ad-hoc timer
+/// whose numbers drift from the phase tree's. One finding per line; the
+/// fixture corpus opts in by filename ("adhoc_timer").
+void check_no_adhoc_timer(bool honor, const std::string& path,
+                          const Views& views,
+                          const std::vector<std::size_t>& starts,
+                          const std::string& raw,
+                          std::vector<Finding>& findings) {
+  const std::string p = "/" + normalized(path);
+  const std::size_t src = p.rfind("/src/");
+  const std::string layer = src == std::string::npos ? "" : p.substr(src + 5);
+  const auto under = [&](const char* dir) { return layer.rfind(dir, 0) == 0; };
+  const bool in_scope = p.find("adhoc_timer") != std::string::npos ||
+                        (src != std::string::npos && !under("obs/") &&
+                         !under("support/") && !under("tools/"));
+  if (!in_scope) return;
+  static const std::regex timer(R"(\bsteady_clock\b|::\s*now\s*\()");
+  long last_line = 0;
+  for (auto it = std::sregex_iterator(views.tokens.begin(),
+                                      views.tokens.end(), timer);
+       it != std::sregex_iterator(); ++it) {
+    const long line =
+        line_of(starts, static_cast<std::size_t>(it->position(0)));
+    if (line == last_line) continue;
+    last_line = line;
+    if (suppressed(honor, raw, starts, line, "no-adhoc-timer")) continue;
+    findings.push_back(
+        {path, line, "no-adhoc-timer",
+         "ad-hoc clock read in solver code; time the interval with an "
+         "obs::Span and read its elapsed-time slot, so the phase tree, the "
+         "span rings and the stats report one number"});
+  }
+}
+
 std::string shell_quote(const std::string& s) {
   std::string out = "'";
   for (const char c : s)
@@ -345,6 +382,7 @@ std::vector<Finding> lint_source_impl(const std::string& path,
   check_no_core_include_in_certify(honor, path, views, starts, text,
                                    findings);
   check_no_map_in_hot_path(honor, path, views, starts, text, findings);
+  check_no_adhoc_timer(honor, path, views, starts, text, findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
@@ -360,6 +398,7 @@ const std::vector<std::string>& rule_ids() {
       "metrics-key",     "no-float",               "header-not-self-contained",
       "no-wall-clock-in-spans",                    "no-unbudgeted-pool-loop",
       "no-core-include-in-certify",                "no-map-in-hot-path",
+      "no-adhoc-timer",
   };
   return ids;
 }

@@ -30,6 +30,11 @@
 //                            <chrono> at all, because crash dumps are
 //                            byte-stable for a fixed seed and therefore
 //                            carry logical sequence numbers only.
+//   no-adhoc-timer           a steady_clock / ::now( read under src/ outside
+//                            obs/, support/ and tools/: solver code times an
+//                            interval with obs::Span and reads its elapsed
+//                            slot, so there is one timing path and the
+//                            stats, phase tree and span rings agree.
 //   header-not-self-contained  every .hpp must compile in isolation
 //                            (include-what-you-use-lite, behind
 //                            Options::check_headers since it shells out to

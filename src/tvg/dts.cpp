@@ -5,7 +5,7 @@
 
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "support/assert.hpp"
 
 namespace tveg {
@@ -25,7 +25,7 @@ bool insert_point(std::vector<Time>& pts, Time t, double tol) {
 
 DiscreteTimeSet DiscreteTimeSet::build(const TimeVaryingGraph& g,
                                        const DtsOptions& options) {
-  obs::TraceSpan span("dts_build");
+  obs::Span span("dts_build");
   const auto n = static_cast<std::size_t>(g.node_count());
   TVEG_REQUIRE(options.extra_points.empty() || options.extra_points.size() == n,
                "extra_points must be empty or have one entry per node");

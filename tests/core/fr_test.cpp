@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.hpp"
 #include "support/math.hpp"
 #include "trace/generators.hpp"
 
@@ -116,6 +117,53 @@ TEST(FrEedcb, InfeasibleWhenSourceIsolated) {
   const TmedbInstance inst{&tveg, 0, 100.0};
   const auto r = run_fr_eedcb(inst);
   EXPECT_FALSE(r.feasible());
+}
+
+TEST(FrEedcb, MultiStartStatsCoverBothAttemptsAndMatchThePhaseTree) {
+  const Tveg tveg = fading_tveg(1);
+  const TmedbInstance inst{&tveg, 0, 6000.0};
+  const auto dts = tveg.build_dts();
+  FrOptions single;
+  single.multi_start = false;
+  EedcbOptions spt;
+  spt.method = SteinerMethod::kShortestPath;
+  const auto greedy_only = run_fr_eedcb(inst, dts, {}, {}, single);
+  const auto spt_only = run_fr_eedcb(inst, dts, spt, {}, single);
+
+  obs::trace_reset();
+  obs::set_enabled(true);
+  const auto both = run_fr_eedcb(inst, dts, {}, {}, FrOptions{});
+  obs::set_enabled(false);
+  const auto totals = obs::phase_totals();
+  obs::trace_reset();
+
+  // Work counters sum both attempts; sizes stay one attempt's.
+  const SchedulerStats& s = both.backbone.stats;
+  EXPECT_EQ(s.steiner_nodes_expanded,
+            greedy_only.backbone.stats.steiner_nodes_expanded +
+                spt_only.backbone.stats.steiner_nodes_expanded);
+  EXPECT_EQ(s.steiner_relaxations,
+            greedy_only.backbone.stats.steiner_relaxations +
+                spt_only.backbone.stats.steiner_relaxations);
+  EXPECT_EQ(s.aux_vertices, greedy_only.backbone.stats.aux_vertices);
+  EXPECT_EQ(s.aux_arcs, greedy_only.backbone.stats.aux_arcs);
+
+  // Phase times are the span slots of the same intervals the tree sums.
+  double aux_ms = -1;
+  double steiner_ms = -1;
+  for (const auto& [name, node] : totals) {
+    if (name == "aux_graph") {
+      EXPECT_EQ(node.count, 2u);
+      aux_ms = node.wall_ms;
+    }
+    if (name == "steiner") {
+      EXPECT_EQ(node.count, 2u);
+      steiner_ms = node.wall_ms;
+    }
+  }
+  EXPECT_NEAR(s.aux_build_ms, aux_ms, 1e-9);
+  EXPECT_NEAR(s.steiner_ms, steiner_ms, 1e-9);
+  EXPECT_EQ(s.prune_ms, 0.0);  // FR backbones are never pruned
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -246,23 +245,15 @@ TEST(Govern, MidSolveCancelReturnsWithinAFixedPollBound) {
   options.eedcb.steiner_level = 2;
   options.eedcb.pool = &pool;
 
+  // Cancel once the solve has proved it is alive (a few hundred budget
+  // polls). The poll that reaches the count fires the cancel itself, so no
+  // firer thread can be starved until the solve has ended.
   const std::vector<support::CancelSource> cancels(1);
-  std::atomic<bool> solve_done{false};
-  std::atomic<std::uint64_t> polls_at_cancel{0};
-  std::thread firer([&] {
-    // Wait for the solve to prove it is alive (a few hundred budget polls),
-    // then cancel. Bail out if the solve somehow finishes first.
-    while (cancels[0].polls() < 300 && !solve_done.load()) {
-      std::this_thread::yield();
-    }
-    polls_at_cancel.store(cancels[0].polls());
-    cancels[0].request_cancel();
-  });
+  constexpr std::uint64_t polls_at_cancel = 300;
+  cancels[0].request_cancel_at_poll(polls_at_cancel);
 
   const auto governed = solve_many_governed(
       tveg, dts, {{.source = 0, .deadline = 400.0}}, options, cancels);
-  solve_done.store(true);
-  firer.join();
 
   ASSERT_EQ(governed.size(), 1u);
   ASSERT_FALSE(governed[0].outcome.ok())
@@ -273,7 +264,7 @@ TEST(Govern, MidSolveCancelReturnsWithinAFixedPollBound) {
   // The fixed bound: once the cancel is visible every poller throws on its
   // next poll, so the tail is a handful of in-flight polls per thread —
   // 4096 is orders of magnitude below the full solve's poll count.
-  EXPECT_LE(cancels[0].polls() - polls_at_cancel.load(), 4096u);
+  EXPECT_LE(cancels[0].polls() - polls_at_cancel, 4096u);
 
   // No pool task is still running: a fresh loop completes, and a clean
   // governed solve on the same pool succeeds.

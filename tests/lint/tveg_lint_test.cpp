@@ -42,6 +42,7 @@ TEST(TvegLint, CorpusFixturesPinExactFindings) {
       {"bad_no_core_include_in_certify.cpp", "no-core-include-in-certify",
        8},
       {"bad_no_map_in_hot_path.hpp", "no-map-in-hot-path", 8},
+      {"bad_no_adhoc_timer.cpp", "no-adhoc-timer", 8},
   };
   for (const auto& fixture : fixtures) {
     const auto findings =
@@ -98,9 +99,42 @@ TEST(TvegLint, RngAndDeadlineFilesAreExemptFromTheirRules) {
 }
 
 TEST(TvegLint, SteadyClockIsAllowed) {
-  EXPECT_TRUE(lint_source("src/core/eedcb.cpp",
+  // steady_clock is never a wall-clock read; in solver code it is only an
+  // ad-hoc timer (no-adhoc-timer), and obs/ and support/ may read it freely.
+  const auto findings = lint_source(
+      "src/core/eedcb.cpp", "auto t = std::chrono::steady_clock::now();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-adhoc-timer");
+  EXPECT_TRUE(lint_source("src/support/thread_pool.cpp",
                           "auto t = std::chrono::steady_clock::now();\n")
                   .empty());
+}
+
+TEST(TvegLint, AdhocTimerFlaggedInSolverCodeOnly) {
+  const std::string alias_read = "const auto start = Clock::now();\n";
+  auto findings = lint_source("/repo/src/sim/monte_carlo.cpp", alias_read);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-adhoc-timer");
+  // The timing layers and the tools own the clock; tests and benches are
+  // outside src/.
+  EXPECT_TRUE(lint_source("/repo/src/obs/span.cpp", alias_read).empty());
+  EXPECT_TRUE(lint_source("src/support/watchdog.cpp", alias_read).empty());
+  EXPECT_TRUE(lint_source("src/tools/certify/main.cpp", alias_read).empty());
+  EXPECT_TRUE(lint_source("/repo/tests/obs/overhead_test.cpp", alias_read)
+                  .empty());
+  EXPECT_TRUE(lint_source("/repo/bench/timing.hpp", alias_read).empty());
+  // Naming the type is enough; several hits on one line are one finding.
+  findings = lint_source(
+      "src/core/eedcb.hpp",
+      "using Clock = std::chrono::steady_clock;\n"
+      "auto d = std::chrono::steady_clock::now() - Clock::now();\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_EQ(findings[1].line, 2);
+  EXPECT_TRUE(
+      lint_source("src/core/eedcb.cpp",
+                  "auto t = Clock::now();  // tveg-lint: allow(no-adhoc-timer)\n")
+          .empty());
 }
 
 TEST(TvegLint, GuardedResultAccessIsClean) {
@@ -179,6 +213,7 @@ TEST(TvegLint, RuleIdsAreStable) {
       "metrics-key",     "no-float",               "header-not-self-contained",
       "no-wall-clock-in-spans",                    "no-unbudgeted-pool-loop",
       "no-core-include-in-certify",                "no-map-in-hot-path",
+      "no-adhoc-timer",
   };
   EXPECT_EQ(rule_ids(), expected);
 }

@@ -1,6 +1,6 @@
 // Satellite (a): the overhead budget. Span tracing is compiled into every
 // hot path (cache lookups, MC trials, pool tasks), so the *disabled* cost —
-// one relaxed atomic load plus a branch per ScopedSpan — must stay
+// one relaxed atomic load plus a branch per Span — must stay
 // negligible: the instrumented spans of a representative solve, priced at
 // the measured per-disabled-span cost, must add up to <= 2% of that solve's
 // wall time, and the per-span cost itself must stay under an absolute bound.
@@ -57,7 +57,6 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
   if (TVEG_SANITIZED)
     GTEST_SKIP() << "sanitizer instrumentation distorts the timing budget";
 
-  set_span_tracing(false);
   set_enabled(false);
   span_reset();
 
@@ -75,7 +74,7 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
 
   // 1. Count how many spans this solve actually opens (records + drops);
   //    queue waits do not occur serially, so B events + drops cover it.
-  set_span_tracing(true);
+  set_enabled(true);
   run_solve(inst, dts);
   std::uint64_t spans = span_drop_count();
   const Json trace_doc = chrome_trace();  // keep alive: find() aliases it
@@ -83,17 +82,17 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
   ASSERT_NE(events, nullptr);
   for (const Json& e : events->items())
     if (e.find("ph")->as_string() == "B") ++spans;
-  set_span_tracing(false);
+  set_enabled(false);
   span_reset();
   ASSERT_GT(spans, 0u) << "the solve exercises no instrumented spans";
 
   // 2. Per-disabled-span cost, amortized over a tight loop. Warm up once so
   //    lazy statics are priced out.
   constexpr std::uint64_t kProbe = 2'000'000;
-  { ScopedSpan warm("overhead_probe"); }
+  { Span warm("overhead_probe"); }
   const auto probe_start = Clock::now();
   for (std::uint64_t i = 0; i < kProbe; ++i) {
-    ScopedSpan span("overhead_probe");
+    Span span("overhead_probe");
   }
   const double per_span_ns =
       ns_between(probe_start, Clock::now()) / static_cast<double>(kProbe);

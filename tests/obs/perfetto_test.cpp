@@ -17,10 +17,10 @@ namespace {
 struct SpanTracingGuard {
   SpanTracingGuard() {
     span_reset();
-    set_span_tracing(true);
+    set_enabled(true);
   }
   ~SpanTracingGuard() {
-    set_span_tracing(false);
+    set_enabled(false);
     span_reset();
   }
 };
@@ -30,7 +30,7 @@ TEST(Perfetto, PoolRunProducesValidTraceWithWorkerTracks) {
   set_current_thread_name("main");
   support::ThreadPool pool(4);
   pool.parallel_for(0, 256, [](std::size_t) {
-    ScopedSpan span("work_item");
+    Span span("work_item");
     volatile double sink = 0;
     for (int i = 0; i < 500; ++i) sink = sink + static_cast<double>(i);
   });
@@ -62,7 +62,7 @@ TEST(Perfetto, PoolRunProducesValidTraceWithWorkerTracks) {
 
 TEST(Perfetto, SerializedTraceRoundTripsThroughParser) {
   SpanTracingGuard guard;
-  { ScopedSpan span("roundtrip"); }
+  { Span span("roundtrip"); }
   const std::string text = chrome_trace_json();
   const Json parsed = Json::parse(text);
   EXPECT_EQ(validate_chrome_trace(parsed), "");

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/json.hpp"
+#include "obs/keys.hpp"
 
 namespace tveg::obs {
 namespace {
@@ -17,10 +20,10 @@ namespace {
 struct SpanTracingGuard {
   SpanTracingGuard() {
     span_reset();
-    set_span_tracing(true);
+    set_enabled(true);
   }
   ~SpanTracingGuard() {
-    set_span_tracing(false);
+    set_enabled(false);
     span_reset();
   }
 };
@@ -34,16 +37,16 @@ std::vector<const Json*> events_of(const Json& doc, const std::string& ph) {
 
 TEST(Span, DisabledRecordsNothing) {
   span_reset();
-  set_span_tracing(false);
-  { ScopedSpan span("ignored"); }
+  set_enabled(false);
+  { Span span("ignored"); }
   const Json doc = chrome_trace();
   EXPECT_TRUE(events_of(doc, "B").empty());
   EXPECT_TRUE(events_of(doc, "X").empty());
 }
 
-TEST(Span, ScopedSpanProducesMatchedPair) {
+TEST(Span, SpanProducesMatchedPair) {
   SpanTracingGuard guard;
-  { ScopedSpan span("unit_phase"); }
+  { Span span("unit_phase"); }
   const Json doc = chrome_trace();
   EXPECT_EQ(validate_chrome_trace(doc), "");
   const auto begins = events_of(doc, "B");
@@ -60,8 +63,8 @@ TEST(Span, ScopedSpanProducesMatchedPair) {
 TEST(Span, NestedSpansExportInStackOrder) {
   SpanTracingGuard guard;
   {
-    ScopedSpan outer("outer");
-    { ScopedSpan inner("inner"); }
+    Span outer("outer");
+    { Span inner("inner"); }
   }
   const Json doc = chrome_trace();
   EXPECT_EQ(validate_chrome_trace(doc), "");
@@ -79,8 +82,8 @@ TEST(Span, NestedSpansExportInStackOrder) {
 
 TEST(Span, QueueWaitBecomesCompleteEventOnQueueTrack) {
   SpanTracingGuard guard;
-  const std::uint64_t t0 = now_epoch_ns();
-  span_queue_wait(t0, t0 + 1500);
+  const auto t0 = std::chrono::steady_clock::now();
+  span_queue_wait(t0, t0 + std::chrono::nanoseconds(1500));
   const Json doc = chrome_trace();
   EXPECT_EQ(validate_chrome_trace(doc), "");
   const auto xs = events_of(doc, "X");
@@ -92,7 +95,7 @@ TEST(Span, QueueWaitBecomesCompleteEventOnQueueTrack) {
 
 TEST(Span, ResetClearsRecordsAndDrops) {
   SpanTracingGuard guard;
-  { ScopedSpan span("before_reset"); }
+  { Span span("before_reset"); }
   span_reset();
   const Json doc = chrome_trace();
   EXPECT_TRUE(events_of(doc, "B").empty());
@@ -104,7 +107,7 @@ TEST(Span, RingOverflowDropsOldestAndCounts) {
   // Well past any plausible ring capacity; the export must stay valid (a
   // dropped parent degrades nesting, never produces unmatched pairs).
   constexpr std::size_t kSpans = 1u << 16;
-  for (std::size_t i = 0; i < kSpans; ++i) { ScopedSpan span("flood"); }
+  for (std::size_t i = 0; i < kSpans; ++i) { Span span("flood"); }
   EXPECT_GT(span_drop_count(), 0u);
   const Json doc = chrome_trace();
   EXPECT_EQ(validate_chrome_trace(doc), "");
@@ -114,7 +117,7 @@ TEST(Span, RingOverflowDropsOldestAndCounts) {
 TEST(Span, ThreadNameShowsUpAsMetadata) {
   SpanTracingGuard guard;
   set_current_thread_name("span-test-main");
-  { ScopedSpan span("named"); }
+  { Span span("named"); }
   const Json doc = chrome_trace();
   bool found = false;
   for (const Json& e : doc.find("traceEvents")->items()) {
@@ -125,6 +128,24 @@ TEST(Span, ThreadNameShowsUpAsMetadata) {
       found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Span, RingOverflowReachesTheMetricsSnapshotBeforeAnyExport) {
+  SpanTracingGuard guard;
+  constexpr std::size_t kSpans = 1u << 16;
+  for (std::size_t i = 0; i < kSpans; ++i) { Span span("flood"); }
+  // Read the registry snapshot first: the drops must already be there,
+  // without chrome_trace() having run.
+  const Json snap = snapshot();
+  const Json* drops =
+      snap.find("metrics")->find("counters")->find(keys::kObsSpanDrops);
+  ASSERT_NE(drops, nullptr);
+  EXPECT_GT(drops->as_number(), 0.0);
+  // Every span is either exported or counted as dropped.
+  const Json doc = chrome_trace();
+  EXPECT_EQ(static_cast<double>(events_of(doc, "B").size()) +
+                drops->as_number(),
+            static_cast<double>(kSpans));
 }
 
 }  // namespace

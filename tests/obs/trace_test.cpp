@@ -10,6 +10,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tveg::obs {
@@ -37,9 +38,8 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, DisabledModeRecordsNothing) {
   {
-    TraceSpan outer("outer");
-    TraceSpan inner("inner");
-    EXPECT_EQ(outer.elapsed_ms(), 0.0);
+    Span outer("outer");
+    Span inner("inner");
   }
   EXPECT_TRUE(trace_snapshot().empty());
   EXPECT_TRUE(phase_totals().empty());
@@ -48,9 +48,9 @@ TEST_F(TraceTest, DisabledModeRecordsNothing) {
 TEST_F(TraceTest, NestedSpansFormTree) {
   set_enabled(true);
   {
-    TraceSpan outer("outer");
-    { TraceSpan inner("inner"); }
-    { TraceSpan inner("inner"); }
+    Span outer("outer");
+    { Span inner("inner"); }
+    { Span inner("inner"); }
   }
   const auto roots = trace_snapshot();
   const TraceNodeSnapshot* outer = find(roots, "outer");
@@ -64,9 +64,12 @@ TEST_F(TraceTest, NestedSpansFormTree) {
 
 TEST_F(TraceTest, ElapsedTracksWallClock) {
   set_enabled(true);
-  TraceSpan span("sleepy");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GE(span.elapsed_ms(), 4.0);
+  double elapsed_ms = 0;
+  {
+    Span span("sleepy", &elapsed_ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(elapsed_ms, 4.0);
 }
 
 TEST_F(TraceTest, DeclarePhasesSeedsZeroCountNodes) {
@@ -82,10 +85,10 @@ TEST_F(TraceTest, DeclarePhasesSeedsZeroCountNodes) {
 TEST_F(TraceTest, PhaseTotalsSumAcrossTheTree) {
   set_enabled(true);
   {
-    TraceSpan a("phase_a");
-    { TraceSpan b("phase_b"); }
+    Span a("phase_a");
+    { Span b("phase_b"); }
   }
-  { TraceSpan b("phase_b"); }  // same name at root level
+  { Span b("phase_b"); }  // same name at root level
   const auto totals = phase_totals();
   ASSERT_EQ(totals.size(), 2u);
   EXPECT_EQ(totals[0].first, "phase_a");
@@ -97,7 +100,7 @@ TEST_F(TraceTest, PhaseTotalsSumAcrossTheTree) {
 TEST_F(TraceTest, WorkerSpansAttachUnderRoot) {
   set_enabled(true);
   support::ThreadPool pool(2);
-  pool.parallel_for(0, 8, [](std::size_t) { TraceSpan span("worker_phase"); });
+  pool.parallel_for(0, 8, [](std::size_t) { Span span("worker_phase"); });
   const auto totals = phase_totals();
   const TraceNodeSnapshot* worker = nullptr;
   for (const auto& [name, node] : totals)
@@ -110,8 +113,8 @@ TEST_F(TraceTest, JsonSnapshotRoundTrips) {
   set_enabled(true);
   declare_phases({"idle_phase"});
   {
-    TraceSpan outer("outer");
-    TraceSpan inner("inner");
+    Span outer("outer");
+    Span inner("inner");
   }
   MetricsRegistry::global().counter("tveg.tracetest.counter").add(3);
 
@@ -144,7 +147,7 @@ TEST_F(TraceTest, JsonSnapshotRoundTrips) {
 
 TEST_F(TraceTest, ResetDropsTheTree) {
   set_enabled(true);
-  { TraceSpan span("ephemeral"); }
+  { Span span("ephemeral"); }
   EXPECT_FALSE(trace_snapshot().empty());
   trace_reset();
   EXPECT_TRUE(trace_snapshot().empty());

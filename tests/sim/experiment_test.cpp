@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ed_weight_cache.hpp"
+#include "obs/export.hpp"
+#include "obs/json.hpp"
+#include "obs/keys.hpp"
 #include "trace/generators.hpp"
 
 namespace tveg::sim {
@@ -141,6 +145,31 @@ TEST(Experiment, RandSeedChangesRandSchedule) {
                reference.schedule.transmissions();
   }
   EXPECT_TRUE(diverged);
+}
+
+/// A counter's value in a fresh obs::snapshot() (0 when not registered).
+double snapshot_counter(const char* key) {
+  const obs::Json snap = obs::snapshot();
+  const obs::Json* v = snap.find("metrics")->find("counters")->find(key);
+  return v == nullptr ? 0.0 : v->as_number();
+}
+
+TEST(Experiment, CacheCountersReachTheSnapshotWhileTheWorkbenchIsAlive) {
+  const double hits_before = snapshot_counter(obs::keys::kCacheHits);
+  const double misses_before = snapshot_counter(obs::keys::kCacheMisses);
+  const Workbench bench(bench_trace(), paper_radio());
+  bench.run(Algorithm::kEedcb, 0, 5000.0);
+  bench.run(Algorithm::kFrEedcb, 0, 5000.0);
+
+  // The caches are still alive: the registry must already hold every hit
+  // and miss they counted.
+  const auto step = bench.step().cache()->stats();
+  const auto fading = bench.fading().cache()->stats();
+  ASSERT_GT(step.hits + fading.hits, 0u);
+  EXPECT_EQ(snapshot_counter(obs::keys::kCacheHits) - hits_before,
+            static_cast<double>(step.hits + fading.hits));
+  EXPECT_EQ(snapshot_counter(obs::keys::kCacheMisses) - misses_before,
+            static_cast<double>(step.misses + fading.misses));
 }
 
 }  // namespace
