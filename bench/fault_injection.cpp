@@ -83,7 +83,7 @@ int main() {
     const auto instance = bench.step_instance(sources[0], deadline);
     for (double budget : {-1.0, 200.0, 5.0, 0.0}) {
       fault::RobustSolveOptions options;
-      options.budget_ms = budget;
+      if (budget >= 0) options.budget = support::Budget::after_ms(budget);
       const auto r = fault::robust_solve(instance, bench.dts(), options);
       table.add_row({budget < 0 ? "unlimited" : Table::fmt(budget, 0),
                      fault::rung_name(r.rung),

@@ -1,5 +1,6 @@
-# --steiner selects the solver; out-of-range deadlines and sweep steps are
-# usage errors (exit 2).
+# --steiner selects the solver; --threads reaches the fallback ladder;
+# out-of-range deadlines and sweep steps, and flag combinations that would
+# parse and then do nothing, are usage errors (exit 2).
 set(trace ${DATA}/waypoint_n12.trace)  # horizon 1800 s
 
 # spt and greedy must produce different schedules on this instance, and the
@@ -54,3 +55,50 @@ expect_usage_error("--step expects a positive time, got 0"
 expect_usage_error("--deadline expects a time in \\(0, 1800\\]"
                    evaluate ${trace} ${WORKDIR}/flags_greedy.sched
                    --deadline 1801)
+
+# --level is 1 or 2, and only with the recursive greedy solver.
+expect_usage_error("--level expects 1 or 2, got 0"
+                   run ${trace} --deadline 1500 --level 0)
+expect_usage_error("--level expects 1 or 2, got 2.5"
+                   run ${trace} --deadline 1500 --level 2.5)
+expect_usage_error("--level expects 1 or 2, got 3"
+                   run ${trace} --deadline 1500 --level 3)
+expect_usage_error("--level applies to --steiner greedy only"
+                   run ${trace} --deadline 1500 --steiner spt --level 7)
+# --solver-budget-ms runs the EEDCB/FR-EEDCB ladder, never another
+# algorithm, and never beside the governed batch's own budget.
+expect_usage_error("--solver-budget-ms applies to --algorithm EEDCB or FR-EEDCB"
+                   run ${trace} --deadline 1500 --algorithm GREED
+                   --solver-budget-ms 0)
+expect_usage_error("--solver-budget-ms does not combine with the governance"
+                   run ${trace} --deadline 1500 --solver-budget-ms 100
+                   --request-budget-ms 100)
+expect_usage_error("--solver-budget-ms expects a non-negative number, got -5"
+                   run ${trace} --deadline 1500 --solver-budget-ms -5)
+# There is no cache to bound under --no-cache.
+expect_usage_error("--cache-budget-mb bounds the ED-weight cache"
+                   run ${trace} --deadline 1500 --no-cache --cache-budget-mb 1)
+expect_usage_error("--cache-budget-mb bounds the ED-weight cache"
+                   sweep ${trace} --from 500 --to 1000 --no-cache
+                   --cache-budget-mb 1)
+
+# The ladder runs with the workbench's scheduler options, so --threads
+# reaches its parallel Steiner phases.
+execute_process(
+  COMMAND ${TMEDB} run ${trace} --source 0 --deadline 1500 --trials 10
+          --threads 2 --solver-budget-ms 600000
+          --metrics-out ${WORKDIR}/flags_ladder_metrics.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "run --threads 2 --solver-budget-ms failed: ${rc}")
+endif()
+if(NOT out MATCHES "solver rung: +eedcb")
+  message(FATAL_ERROR "the ladder did not finish on EEDCB: ${out}")
+endif()
+file(READ ${WORKDIR}/flags_ladder_metrics.json doc)
+string(JSON dijkstras ERROR_VARIABLE json_err
+       GET "${doc}" metrics counters tveg.parallel.steiner_dijkstras)
+if(json_err OR NOT dijkstras GREATER 0)
+  message(FATAL_ERROR
+          "--threads did not reach the ladder: steiner_dijkstras=${dijkstras}")
+endif()

@@ -110,13 +110,37 @@ fault::GovernOptions parse_governance(const Args& args) {
   return gov;
 }
 
-/// --cache-budget-mb, converted to the workbench's byte budget.
+/// --cache-budget-mb, converted to the workbench's byte budget. With
+/// --no-cache there is no cache to bound.
 std::size_t parse_cache_budget(const Args& args) {
+  if (args.has("cache-budget-mb") && args.has("no-cache"))
+    throw UsageError(
+        "--cache-budget-mb bounds the ED-weight cache, which --no-cache "
+        "disables");
   const double mb = args.get_num("cache-budget-mb", 0);
   if (mb < 0)
     throw UsageError("--cache-budget-mb expects a non-negative number, got " +
                      args.get("cache-budget-mb", "?"));
   return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
+}
+
+/// --steiner / --level: recursive greedy at level 1 or 2 (the default), or
+/// the level-free shortest-path heuristic.
+void parse_steiner(const Args& args, sim::Workbench::Options& bench_options) {
+  const std::string steiner = args.get("steiner", "greedy");
+  if (steiner == "spt") {
+    if (args.has("level"))
+      throw UsageError("--level applies to --steiner greedy only");
+    bench_options.steiner_method = core::SteinerMethod::kShortestPath;
+    return;
+  }
+  if (steiner != "greedy")
+    throw UsageError("--steiner expects greedy or spt, got '" + steiner + "'");
+  const double level = args.get_num("level", bench_options.steiner_level);
+  if (level != 1 && level != 2)
+    throw UsageError("--level expects 1 or 2, got " + args.get("level", "?"));
+  bench_options.steiner_method = core::SteinerMethod::kRecursiveGreedy;
+  bench_options.steiner_level = static_cast<int>(level);
 }
 
 /// --deadline / --from / --to: a time in (0, horizon] of the loaded trace,
@@ -187,7 +211,7 @@ int usage() {
       "  tmedb stats TRACE\n"
       "  tmedb run TRACE [--algorithm EEDCB|GREED|RAND|FR-EEDCB|FR-GREED|FR-RAND]\n"
       "                  [--source ID] [--deadline T] [--seed S] [--trials K]\n"
-      "                  [--steiner greedy|spt] [--level L]\n"
+      "                  [--steiner greedy|spt] [--level 1|2]\n"
       "                  [--threads N] [--no-cache]\n"
       "                  [--save-schedule FILE]\n"
       "                  [--faults PLAN] [--solver-budget-ms N]\n"
@@ -207,9 +231,10 @@ int usage() {
       "                  [--trials K] [--reliability Q] [--interference 1]\n"
       "\n"
       "--steiner picks EEDCB's Steiner solver: greedy, the default\n"
-      "(recursive greedy at --level L, default 2), or spt (union of shortest\n"
-      "paths + prune; faster, no approximation bound). --deadline, --from\n"
-      "and --to must lie in (0, H], H the trace horizon.\n"
+      "(recursive greedy at --level 1 or 2, default 2; --level is an error\n"
+      "with spt), or spt (union of shortest paths + prune; faster, no\n"
+      "approximation bound). --deadline, --from and --to must lie in\n"
+      "(0, H], H the trace horizon.\n"
       "--metrics-out writes an obs snapshot (JSON, or CSV when FILE ends in\n"
       ".csv); --trace prints the phase tree to stderr.\n"
       "--trace-out records thread-aware spans (phases, pool tasks,\n"
@@ -222,9 +247,10 @@ int usage() {
       "seed, edge_dropout, node_churn, churn_span, truncation,\n"
       "truncation_keep, jitter, cost_inflation, inflation_factor,\n"
       "tx_failure); the schedule is repaired against the faulted reality\n"
-      "and delivery is measured there. --solver-budget-ms bounds the solve\n"
-      "wall-clock (EEDCB degrades to BIP, then GREED). --fault-log dumps\n"
-      "the injected events for audit/replay.\n"
+      "and delivery is measured there. --solver-budget-ms N (N >= 0) bounds\n"
+      "the solve wall-clock (EEDCB degrades to BIP, then GREED); it applies\n"
+      "to --algorithm EEDCB or FR-EEDCB only and not with the governance\n"
+      "flags below. --fault-log dumps the injected events for audit/replay.\n"
       "--threads N runs the pipeline's parallel phases on N workers and\n"
       "--no-cache disables ED-function memoization; both leave every\n"
       "schedule byte-identical to the serial uncached solve.\n"
@@ -235,8 +261,9 @@ int usage() {
       "budget for the stall window, and exhausted budgets either degrade to\n"
       "a GREED fallback schedule (shed-policy degrade, the default) or\n"
       "return a structured error (shed-policy error). --cache-budget-mb\n"
-      "bounds the aggregate ED-weight cache footprint; pressure evicts\n"
-      "whole shards and leaves results byte-identical. In sweep output a\n"
+      "bounds the aggregate ED-weight cache footprint (an error with\n"
+      "--no-cache); pressure evicts whole shards and leaves results\n"
+      "byte-identical. In sweep output a\n"
       "trailing * marks a degraded EEDCB cell, 'shed'/'!' a shed or failed\n"
       "request.\n";
   return 2;
@@ -450,22 +477,9 @@ int cmd_run(const Args& args) {
     }
     plan = parsed.value();
   }
-  const double budget_ms = args.get_num("solver-budget-ms", -1);
-
-  if (args.has("metrics-out") || args.has("trace")) enable_observability();
-  arm_tracing(args);
 
   sim::Workbench::Options bench_options;
-  const std::string steiner = args.get("steiner", "greedy");
-  if (steiner == "greedy") {
-    bench_options.steiner_method = core::SteinerMethod::kRecursiveGreedy;
-    bench_options.steiner_level =
-        static_cast<int>(args.get_num("level", bench_options.steiner_level));
-  } else if (steiner == "spt") {
-    bench_options.steiner_method = core::SteinerMethod::kShortestPath;
-  } else {
-    throw UsageError("--steiner expects greedy or spt, got '" + steiner + "'");
-  }
+  parse_steiner(args, bench_options);
   bench_options.threads = parse_threads(args);
   bench_options.use_cache = !args.has("no-cache");
   bench_options.cache_budget_bytes = parse_cache_budget(args);
@@ -474,18 +488,35 @@ int cmd_run(const Args& args) {
     throw UsageError(
         "governance flags (--request-budget-ms/--max-inflight/--stall-ms/"
         "--shed-policy) apply to --algorithm EEDCB only");
+  // --solver-budget-ms runs the fallback ladder, whose lower rungs the
+  // other algorithms already are; the governed batch has its own
+  // per-request budget.
+  const bool laddered = args.has("solver-budget-ms");
+  const double budget_ms = args.get_num("solver-budget-ms", 0);
+  if (laddered) {
+    if (!(budget_ms >= 0))
+      throw UsageError("--solver-budget-ms expects a non-negative number, got " +
+                       args.get("solver-budget-ms", "?"));
+    if (*algorithm != sim::Algorithm::kEedcb &&
+        *algorithm != sim::Algorithm::kFrEedcb)
+      throw UsageError(
+          "--solver-budget-ms applies to --algorithm EEDCB or FR-EEDCB only");
+    if (governed)
+      throw UsageError(
+          "--solver-budget-ms does not combine with the governance flags; "
+          "use --request-budget-ms");
+  }
+
+  if (args.has("metrics-out") || args.has("trace")) enable_observability();
+  arm_tracing(args);
   const sim::Workbench bench(trace, sim::paper_radio(), bench_options);
 
   // Solve — through the governed batch when governance flags are present,
-  // under the fallback ladder when a budget was given for an EEDCB-pipeline
-  // algorithm (the other algorithms already are the lower rungs), plainly
+  // under the fallback ladder when a solver budget was given, plainly
   // otherwise.
   sim::Workbench::RunOutcome outcome;
   std::string rung_note;
   std::vector<support::Error> descents;
-  const bool laddered = !governed && budget_ms >= 0 &&
-                        (*algorithm == sim::Algorithm::kEedcb ||
-                         *algorithm == sim::Algorithm::kFrEedcb);
   if (governed) {
     std::vector<core::SolveRequest> requests(1);
     requests[0].source = source;
@@ -515,9 +546,8 @@ int cmd_run(const Args& args) {
         bench.step_instance(source, deadline), outcome.schedule);
   } else if (laddered) {
     fault::RobustSolveOptions robust;
-    robust.budget_ms = budget_ms;
-    robust.eedcb.method = bench_options.steiner_method;
-    robust.eedcb.steiner_level = bench_options.steiner_level;
+    robust.eedcb = bench.eedcb_options();
+    robust.budget = support::Budget::after_ms(budget_ms);
     if (*algorithm == sim::Algorithm::kFrEedcb) {
       const auto instance = bench.fading_instance(source, deadline);
       core::AllocationOptions alloc;
@@ -561,7 +591,10 @@ int cmd_run(const Args& args) {
   }
   if (outcome.stats.aux_vertices > 0) {
     std::cout << "pipeline:           " << outcome.stats.dts_points
-              << " DTS points, " << outcome.stats.aux_vertices
+              << (outcome.stats.dts_truncated
+                      ? " DTS points (truncated at the per-node cap), "
+                      : " DTS points, ")
+              << outcome.stats.aux_vertices
               << " aux vertices, " << outcome.stats.aux_arcs << " aux arcs\n"
               << "phase times:        aux " << outcome.stats.aux_build_ms
               << " ms, steiner " << outcome.stats.steiner_ms << " ms, prune "

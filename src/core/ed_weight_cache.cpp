@@ -19,7 +19,6 @@ struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& evictions;
-  obs::Counter& pressure_evictions;
 };
 
 const CacheMetrics& metrics() {
@@ -27,8 +26,7 @@ const CacheMetrics& metrics() {
   static const CacheMetrics m{registry.counter(obs::keys::kCacheBuilds),
                               registry.counter(obs::keys::kCacheHits),
                               registry.counter(obs::keys::kCacheMisses),
-                              registry.counter(obs::keys::kCacheEvictions),
-                              registry.counter(obs::keys::kMemPressureEvictions)};
+                              registry.counter(obs::keys::kCacheEvictions)};
   return m;
 }
 
@@ -47,20 +45,14 @@ EdWeightCache::~EdWeightCache() {
         static_cast<std::size_t>(bytes_.load(std::memory_order_relaxed)));
 }
 
-void EdWeightCache::evict_shard(Shard& shard, std::size_t shard_index,
-                                bool pressure) const {
+void EdWeightCache::evict_shard(Shard& shard, std::size_t shard_index) const {
   const std::size_t dropped = shard.map.size();
   if (dropped == 0) return;
   const std::size_t freed = dropped * kApproxEntryBytes;
   evictions_.fetch_add(dropped, std::memory_order_relaxed);
   metrics().evictions.add(dropped);
-  if (pressure) {
-    pressure_evictions_.fetch_add(dropped, std::memory_order_relaxed);
-    metrics().pressure_evictions.add(dropped);
-  }
   obs::flight_recorder().record(obs::FlightEventKind::kCacheEviction, dropped,
-                                shard_index,
-                                pressure ? "mem_pressure" : "entry_cap");
+                                shard_index, "mem_pressure");
   shard.map.clear();
   bytes_.fetch_sub(freed, std::memory_order_relaxed);
   if (options_.mem != nullptr) options_.mem->release(freed);
@@ -104,19 +96,11 @@ const EdWeightCache::Entry EdWeightCache::lookup(const Tveg& tveg,
   entry.ed = tveg.materialize_ed(e, t);
   entry.weight = entry.ed->min_cost_for(tveg.radio().epsilon);
   support::MutexLock lock(shard.mutex);
-  if (options_.max_entries > 0 &&
-      shard.map.size() >= (options_.max_entries + kShards - 1) / kShards)
-    evict_shard(shard, shard_index, /*pressure=*/false);
-  // Byte/ledger pressure: evicting the shard being inserted into frees the
-  // most likely-stale entries reachable without taking a second lock, and
+  // Ledger pressure: evicting the shard being inserted into frees the most
+  // likely-stale entries reachable without taking a second lock, and
   // handed-out shared_ptrs keep in-flight ED-functions alive regardless.
-  const bool over_local =
-      options_.max_bytes > 0 &&
-      bytes_.load(std::memory_order_relaxed) + kApproxEntryBytes >
-          options_.max_bytes;
-  const bool over_shared = options_.mem != nullptr && options_.mem->over();
-  if (over_local || over_shared)
-    evict_shard(shard, shard_index, /*pressure=*/true);
+  if (options_.mem != nullptr && options_.mem->over())
+    evict_shard(shard, shard_index);
   shard.map.emplace(key, entry);
   bytes_.fetch_add(kApproxEntryBytes, std::memory_order_relaxed);
   if (options_.mem != nullptr) options_.mem->charge(kApproxEntryBytes);
@@ -158,19 +142,8 @@ EdWeightCache::Stats EdWeightCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.pressure_evictions = pressure_evictions_.load(std::memory_order_relaxed);
   s.approx_bytes = bytes_.load(std::memory_order_relaxed);
   return s;
-}
-
-void EdWeightCache::clear() {
-  for (auto& shard : shards_) {
-    support::MutexLock lock(shard.mutex);
-    const std::size_t freed = shard.map.size() * kApproxEntryBytes;
-    shard.map.clear();
-    bytes_.fetch_sub(freed, std::memory_order_relaxed);
-    if (options_.mem != nullptr) options_.mem->release(freed);
-  }
 }
 
 }  // namespace tveg::core

@@ -44,19 +44,13 @@ class Tveg;
 class EdWeightCache {
  public:
   struct Options {
-    /// Soft bound on resident entries; exceeding it evicts (whole shards at
-    /// a time — cheap, and correctness is unaffected since entries are pure
-    /// memos). 0 means unbounded.
-    std::size_t max_entries = 1 << 20;
-    /// Soft byte bound on this cache's resident footprint (approximated at
-    /// kApproxEntryBytes per entry); exceeding it evicts the shard being
-    /// inserted into. 0 means unbounded.
-    std::size_t max_bytes = 0;
-    /// Optional shared memory ledger (Budget.mem): every insert charges it
-    /// and every eviction releases it, so several caches can be governed by
-    /// one aggregate budget — when the ledger is over its limit, inserts
-    /// evict under pressure exactly as with max_bytes. Must outlive the
-    /// cache; nullptr = no shared accounting.
+    /// Optional byte ledger, the cache's one eviction trigger: every insert
+    /// charges it and every eviction releases it, and an insert while the
+    /// ledger is over its limit first evicts the shard it lands in (whole
+    /// shards at a time — cheap, and correctness is unaffected since
+    /// entries are pure memos). Several caches may share one ledger, so
+    /// one aggregate bound governs them all. Must outlive the cache;
+    /// nullptr = unbounded.
     support::MemBudget* mem = nullptr;
   };
 
@@ -84,21 +78,15 @@ class EdWeightCache {
 
   /// Counter snapshot of this cache (monotone). The same events are also
   /// counted, as they happen, into the process-wide obs registry under
-  /// tveg.cache.* and tveg.mem.pressure_evictions.
+  /// tveg.cache.*.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;  ///< entries dropped by capacity pressure
-    /// Entries dropped specifically by byte/ledger pressure (also counted
-    /// in `evictions`).
-    std::uint64_t pressure_evictions = 0;
+    std::uint64_t evictions = 0;  ///< entries dropped by ledger pressure
     /// Approximate current resident footprint (entries × kApproxEntryBytes).
     std::uint64_t approx_bytes = 0;
   };
   Stats stats() const;
-
-  /// Drops every entry (stats are kept).
-  void clear();
 
  private:
   struct Entry {
@@ -118,17 +106,15 @@ class EdWeightCache {
                                                Time t) const;
 
   /// Clears `shard` (already locked by the caller), returning its bytes to
-  /// the ledger and counting the eviction; `pressure` marks byte-driven
-  /// evictions apart from entry-count ones.
-  void evict_shard(Shard& shard, std::size_t shard_index,
-                   bool pressure) const TVEG_REQUIRES(shard.mutex);
+  /// the ledger and counting the eviction.
+  void evict_shard(Shard& shard, std::size_t shard_index) const
+      TVEG_REQUIRES(shard.mutex);
 
   Options options_;
   mutable Shard shards_[kShards];
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> pressure_evictions_{0};
   /// Approximate resident bytes (kApproxEntryBytes per entry), mirrored
   /// into options_.mem when attached.
   mutable std::atomic<std::uint64_t> bytes_{0};

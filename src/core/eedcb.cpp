@@ -42,6 +42,7 @@ SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
 
   SchedulerResult result;
   result.stats.dts_points = dts.total_points();
+  result.stats.dts_truncated = dts.truncated();
   result.stats.aux_vertices = aux.vertex_count();
   result.stats.aux_arcs = aux.arc_count();
 

@@ -34,13 +34,12 @@ struct EedcbOptions {
   bool power_expansion = true;
   /// Local-improvement post-pass on the extracted schedule (core/prune.hpp).
   bool prune = true;
-  /// Unified solve budget (deadline + cancel token + memory ledger),
-  /// polled between pipeline phases and inside the Steiner search; expiry
-  /// raises support::TimeoutError, a fired token support::CancelledError.
-  /// The fallback ladder (fault/degrade.hpp) catches the former and
-  /// descends to a cheaper scheduler; the governance layer (fault/govern.hpp)
-  /// catches both per request. Implicitly constructible from a bare
-  /// Deadline. Default: unlimited, non-cancellable.
+  /// Unified solve budget (deadline + cancel token), polled between
+  /// pipeline phases and inside the Steiner search; expiry raises
+  /// support::TimeoutError, a fired token support::CancelledError. The
+  /// fallback ladder (fault/degrade.hpp) catches the former and descends to
+  /// a cheaper scheduler; the governance layer (fault/govern.hpp) catches
+  /// both per request. Default: unlimited, non-cancellable.
   support::Budget budget;
   /// Optional worker pool for aux-graph construction and the Steiner
   /// solver's parallel phases. Schedules are byte-identical with or without
@@ -58,6 +57,9 @@ struct SchedulerStats {
   std::size_t aux_arcs = 0;
   std::size_t steiner_nodes_expanded = 0;
   std::size_t steiner_relaxations = 0;
+  /// The DTS hit DtsOptions::max_points_per_node, so some journeys may be
+  /// missing and Theorem 5.2's optimality no longer holds.
+  bool dts_truncated = false;
   double aux_build_ms = 0;
   double steiner_ms = 0;
   double prune_ms = 0;

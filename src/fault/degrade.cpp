@@ -76,21 +76,17 @@ RobustSolveResult robust_solve(const core::TmedbInstance& instance,
 
   // One budget for the whole ladder: a rung that burns the clock leaves
   // less for the next, and the final rung ignores what is left of the
-  // deadline (but still honors the cancel token — cancellation is "stop",
-  // not "try cheaper", and propagates as CancelledError).
-  const support::Deadline deadline = options.budget_ms < 0
-                                         ? support::Deadline()
-                                         : support::Deadline::after_ms(
-                                               options.budget_ms);
-  const support::Budget budget(deadline, options.cancel);
-  const support::Budget last_budget(support::Deadline(), options.cancel);
+  // time (but still honors the cancel token — cancellation is "stop", not
+  // "try cheaper", and propagates as CancelledError).
+  const support::Budget& budget = options.budget;
+  const support::Budget last_budget(budget.cancel);
 
+  // The second payload says whether the ladder is time-limited — never a
+  // clock-derived number, so same-seed dumps stay byte-identical.
   using obs::FlightEventKind;
   obs::flight_recorder().record(FlightEventKind::kSolveStart,
                                 static_cast<std::uint64_t>(options.start),
-                                static_cast<std::uint64_t>(
-                                    options.budget_ms < 0 ? 0
-                                                          : options.budget_ms));
+                                budget.time_limited() ? 1 : 0);
 
   static obs::Counter& skips = registry.counter(obs::keys::kFaultSolveRungSkips);
 
@@ -104,7 +100,7 @@ RobustSolveResult robust_solve(const core::TmedbInstance& instance,
     // first-poll timeout would have produced, so ladder observers (tests,
     // flight dumps) see the same shape either way — plus a rung_skipped
     // marker saying no solver work ran at all.
-    if (!last && deadline.expired()) {
+    if (!last && budget.expired()) {
       obs::flight_recorder().record(FlightEventKind::kDeadlineExpired,
                                     static_cast<std::uint64_t>(rung), 0,
                                     rung_name(rung));

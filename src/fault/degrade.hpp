@@ -39,16 +39,16 @@ const char* rung_name(SolverRung rung);
 
 /// Options for one robust solve.
 struct RobustSolveOptions {
-  /// Wall-clock budget for the whole ladder in ms; < 0 = unlimited. The
-  /// final rung ignores what is left of it (it must produce a schedule).
-  double budget_ms = -1;
+  /// Budget for the whole ladder (e.g. support::Budget::after_ms(50));
+  /// default unlimited. The final rung ignores what is left of the time
+  /// (it must produce a schedule) but still observes the cancel token: a
+  /// fired token makes robust_solve throw support::CancelledError instead
+  /// of descending — cancellation means "stop", not "try cheaper".
+  support::Budget budget;
   /// First rung to try (lower rungs are already their own fallback).
   SolverRung start = SolverRung::kEedcb;
-  /// Optional cancel token observed by every rung *including* the final
-  /// one: a fired token makes robust_solve throw support::CancelledError
-  /// instead of descending — cancellation means "stop", not "try cheaper".
-  /// Default: never cancelled.
-  support::CancelToken cancel;
+  /// Scheduler options for the EEDCB rung; its `budget` is overridden by
+  /// the ladder's.
   core::EedcbOptions eedcb;
 };
 

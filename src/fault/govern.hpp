@@ -11,9 +11,9 @@
 // run_eedcb_on_aux tail a one-shot run_eedcb takes, so schedules are
 // byte-identical to per-request run_eedcb calls — tests/diff pins this.
 //
-// Each request runs under its own support::Budget (deadline + cancel token
-// + shared memory ledger) and returns its own support::Result, so one
-// pathological instance costs the batch exactly one error slot:
+// Each request runs under its own support::Budget (deadline + cancel token)
+// and returns its own support::Result, so one pathological instance costs
+// the batch exactly one error slot:
 //
 //   * a request that blows its budget triggers the fallback ladder
 //     (shed-to-GREED) or, under ShedPolicy::kError, returns the timeout as
@@ -69,10 +69,6 @@ struct GovernOptions {
   /// poll its budget for this long is force-cancelled. <= 0 disables the
   /// watchdog.
   double stall_ms = -1;
-  /// Optional shared memory ledger, handed to every request's Budget (and
-  /// typically also attached to the TVEG's EdWeightCache) so aggregate
-  /// cache growth across the batch stays bounded. Must outlive the call.
-  support::MemBudget* mem = nullptr;
   /// Scheduler options for the primary attempt (budget/pool fields are
   /// overridden per request).
   core::EedcbOptions eedcb;

@@ -100,7 +100,6 @@ inline constexpr char kCacheBuilds[] = "tveg.cache.builds";
 inline constexpr char kCacheHits[] = "tveg.cache.hits";
 inline constexpr char kCacheMisses[] = "tveg.cache.misses";
 inline constexpr char kCacheEvictions[] = "tveg.cache.evictions";
-inline constexpr char kMemPressureEvictions[] = "tveg.mem.pressure_evictions";
 inline constexpr char kMemCacheBytes[] = "tveg.mem.cache_bytes";
 
 // -- sim/monte_carlo --------------------------------------------------------

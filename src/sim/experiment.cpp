@@ -153,7 +153,6 @@ std::vector<fault::GovernedSolve> Workbench::run_many_eedcb_governed(
     const std::vector<core::SolveRequest>& requests,
     fault::GovernOptions options) const {
   options.eedcb = eedcb_options();
-  if (options.mem == nullptr) options.mem = cache_budget_.get();
   return fault::solve_many_governed(*step_, dts_, requests, options);
 }
 

@@ -104,19 +104,17 @@ class Workbench {
   /// EEDCB batch over the workbench's shared DTS (fault::solve_many_governed):
   /// one auxiliary graph and Steiner solver per distinct deadline, plus
   /// per-request budgets, isolation, optional watchdog and shedding. The
-  /// workbench overwrites `options.eedcb` with its own scheduler options
-  /// (Steiner method, DTS options, pool) and supplies its cache MemBudget
-  /// when `options.mem` is null. Un-governed requests produce schedules
-  /// byte-identical to per-request run(kEedcb, ...) calls.
+  /// workbench overwrites `options.eedcb` with eedcb_options(). Un-governed
+  /// requests produce schedules byte-identical to per-request
+  /// run(kEedcb, ...) calls.
   std::vector<fault::GovernedSolve> run_many_eedcb_governed(
       const std::vector<core::SolveRequest>& requests,
       fault::GovernOptions options = {}) const;
 
-  /// The shared cache ledger (valid when cache_budget_bytes > 0); exposed
-  /// so callers can read tveg.mem occupancy mid-run.
-  const support::MemBudget* cache_budget() const {
-    return cache_budget_ ? cache_budget_.get() : nullptr;
-  }
+  /// The scheduler options every EEDCB run of this workbench uses (Steiner
+  /// method and level, DTS options, worker pool), for callers that drive
+  /// the pipeline through another entry point (the fallback ladder).
+  core::EedcbOptions eedcb_options() const;
 
   /// Monte-Carlo delivery of `schedule` under the fading view (Fig. 6(b)).
   DeliveryStats delivery_under_fading(NodeId source,
@@ -124,8 +122,6 @@ class Workbench {
                                       const McOptions& mc = {}) const;
 
  private:
-  core::EedcbOptions eedcb_options() const;
-
   Options options_;
   /// Declared before the Tvegs: their attached caches hold a raw pointer to
   /// this ledger and must release into it during their own destruction.

@@ -57,12 +57,6 @@ class CancelToken {
            state_->cancelled.load(std::memory_order_relaxed);
   }
 
-  /// One heartbeat tick without the throw — for loops that want to report
-  /// liveness but handle cancellation at a coarser granularity.
-  void note_poll() const {
-    if (state_ != nullptr) tick();
-  }
-
   /// The poll: ticks the heartbeat and throws CancelledError when the
   /// source has requested cancellation. `where` names the phase.
   void check(const char* where) const {

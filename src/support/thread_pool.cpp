@@ -118,28 +118,14 @@ void ThreadPool::enqueue(std::function<void()> fn) {
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_impl(begin, end, body, nullptr);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body,
                               const CancelToken& cancel) {
-  parallel_for_impl(begin, end, body, &cancel);
-}
-
-void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
-                                   const std::function<void(std::size_t)>& body,
-                                   const CancelToken* cancel) {
-  const auto cancelled = [cancel] {
-    return cancel != nullptr && cancel->cancelled();
-  };
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t chunks = std::min(n, thread_count_ + 1);
   if (chunks <= 1) {
     for (std::size_t i = begin; i < end; ++i) {
-      if (cancelled()) throw CancelledError("parallel_for cancelled");
+      if (cancel.cancelled()) throw CancelledError("parallel_for cancelled");
       body(i);
     }
     return;
@@ -164,7 +150,7 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
         // Drain on cancellation: skip the remaining indices so the pool
         // frees up immediately. The caller-facing CancelledError is thrown
         // once, after the barrier, by the waiting thread.
-        if (cancelled()) break;
+        if (cancel.cancelled()) break;
         body(i);
       }
     } catch (...) {
@@ -187,7 +173,7 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
       // intake lock so body may itself touch the pool without deadlock).
       lock.unlock();
       for (std::size_t i = begin; i < end; ++i) {
-        if (cancelled()) throw CancelledError("parallel_for cancelled");
+        if (cancel.cancelled()) throw CancelledError("parallel_for cancelled");
         body(i);
       }
       return;
@@ -206,17 +192,12 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
   }
   for (std::size_t chunk = 0; chunk < chunks; ++chunk)
     if (chunk_error[chunk]) std::rethrow_exception(chunk_error[chunk]);
-  if (cancelled()) throw CancelledError("parallel_for cancelled");
+  if (cancel.cancelled()) throw CancelledError("parallel_for cancelled");
 }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  ThreadPool::global().parallel_for(begin, end, body);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

@@ -56,20 +56,17 @@ class ThreadPool {
   /// concurrently, the lowest-index chunk's exception wins deterministically
   /// and the others are swallowed. The remaining indices of a throwing
   /// chunk are skipped, other chunks run to completion.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
-  /// Cancellable variant: every chunk observes `cancel` before each index
-  /// (one relaxed load) and drains — skips its remaining indices — as soon
-  /// as cancellation is requested, so an expired solve stops occupying the
-  /// pool. Still blocks until every chunk has returned (no task is left
-  /// running), then throws CancelledError when the range was cut short —
-  /// unless a body exception is pending, which wins. On the uncancelled
-  /// path results are byte-identical to the plain overload: the checks
-  /// never reorder, split, or skip work.
+  ///
+  /// Every chunk observes `cancel` before each index (one relaxed load; a
+  /// default token is never cancelled) and drains — skips its remaining
+  /// indices — as soon as cancellation is requested, so an expired solve
+  /// stops occupying the pool. Still blocks until every chunk has returned
+  /// (no task is left running), then throws CancelledError when the range
+  /// was cut short — unless a body exception is pending, which wins. The
+  /// checks never reorder, split, or skip work on the uncancelled path.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
-                    const CancelToken& cancel);
+                    const CancelToken& cancel = {});
 
   /// Stops intake, drains the queue, joins the workers. Idempotent and
   /// safe to call concurrently with submit (racing submits throw).
@@ -101,10 +98,6 @@ class ThreadPool {
 
   void enqueue(std::function<void()> fn);
   void worker_loop(std::size_t worker_index);
-  /// Shared implementation; `cancel` == nullptr is the plain overload.
-  void parallel_for_impl(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body,
-                         const CancelToken* cancel);
 
   std::vector<std::thread> workers_;
   std::size_t thread_count_ = 0;
@@ -114,11 +107,9 @@ class ThreadPool {
   bool stopping_ TVEG_GUARDED_BY(mutex_) = false;
 };
 
-/// Convenience wrappers over ThreadPool::global().parallel_for.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
+/// Convenience wrapper over ThreadPool::global().parallel_for.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
-                  const CancelToken& cancel);
+                  const CancelToken& cancel = {});
 
 }  // namespace tveg::support

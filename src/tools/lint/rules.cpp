@@ -46,7 +46,7 @@ const std::array<TokenRule, 3>& token_rules() {
        "reproduces the experiment"},
       {"no-wall-clock",
        R"(\bstd::time\s*\(|\bsystem_clock\b|\bhigh_resolution_clock\b|\bgettimeofday\b|\blocaltime\b|\bgmtime\b|\bstrftime\b|\basctime\b|\bctime\b|\bclock\s*\(|(?:^|[^\w.:>])time\s*\()",
-       "wall-clock read; budgets go through support::Deadline, timing "
+       "wall-clock read; budgets go through support::Budget, timing "
        "metrics use steady_clock"},
       {"no-float",
        R"(\bfloat\b)",
@@ -60,8 +60,6 @@ bool rule_applies(const std::string& rule, const std::string& path) {
   if (rule == "no-unseeded-rng")
     return !path_ends_with(path, "support/rng.hpp") &&
            !path_ends_with(path, "support/rng.cpp");
-  if (rule == "no-wall-clock")
-    return !path_ends_with(path, "support/deadline.hpp");
   return true;
 }
 

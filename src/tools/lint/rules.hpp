@@ -9,9 +9,9 @@
 //                            std::rand/random_device breaks FaultLog and
 //                            Monte-Carlo determinism silently.
 //   no-wall-clock            wall-clock reads (time(), system_clock, ...) are
-//                            non-deterministic inputs; only support::Deadline
-//                            may consult a clock for budgets (steady_clock is
-//                            allowed: it is monotonic and never feeds results).
+//                            non-deterministic inputs and have no exemption;
+//                            support::Budget times solves with steady_clock
+//                            (allowed: it is monotonic and never feeds results).
 //   unchecked-result         Result<T>::value() without a visible ok() /
 //                            has_value() / !r guard nearby — the degrade
 //                            ladder relies on callers branching, not asserting.

@@ -102,7 +102,7 @@ TEST(EdWeightCache, DiscreteCostSetsMatch) {
     }
 }
 
-/// A pathologically small capacity forces whole-shard evictions mid-stream;
+/// A pathologically small ledger forces whole-shard evictions mid-stream;
 /// results must stay exact and the eviction counter must move.
 TEST(EdWeightCache, EvictionPreservesCorrectness) {
   const trace::ContactTrace t = random_trace(3);
@@ -110,8 +110,9 @@ TEST(EdWeightCache, EvictionPreservesCorrectness) {
                        model_options(channel::ChannelModel::kNakagami));
   Tveg cached(t, unit_radio(),
               model_options(channel::ChannelModel::kNakagami));
-  auto cache = std::make_shared<EdWeightCache>(EdWeightCache::Options{
-      .max_entries = 4});
+  support::MemBudget mem(4 * EdWeightCache::kApproxEntryBytes);
+  auto cache =
+      std::make_shared<EdWeightCache>(EdWeightCache::Options{.mem = &mem});
   cached.attach_cache(cache);
 
   support::Rng rng(5);
@@ -127,29 +128,24 @@ TEST(EdWeightCache, EvictionPreservesCorrectness) {
               cached.edge_weight(a, b, time));
   }
   EXPECT_GT(cache->stats().evictions, 0u);
-
-  // clear() drops entries but not counters; queries keep working.
-  cache->clear();
-  EXPECT_GT(cache->stats().misses, 0u);
-  EXPECT_EQ(reference.edge_weight(0, 1, 0.0), cached.edge_weight(0, 1, 0.0));
 }
 
 /// An ED-function handed out by the cache must survive eviction of its
-/// entry (shared ownership), not dangle.
+/// entry (shared ownership), not dangle — down to the cache itself dying.
 TEST(EdWeightCache, HandedOutEdSurvivesEviction) {
   const trace::ContactTrace t = random_trace(9);
   Tveg cached(t, unit_radio(),
               model_options(channel::ChannelModel::kRayleigh));
-  auto cache = std::make_shared<EdWeightCache>(EdWeightCache::Options{
-      .max_entries = 2});
+  auto cache = std::make_shared<EdWeightCache>();
   cached.attach_cache(cache);
 
   const std::size_t e = cached.edge_index(0, 1);
   if (e == Tveg::npos) GTEST_SKIP() << "pair 0-1 never meets in this trace";
   const auto ed = cache->ed(cached, e, 0.0);
   const double before = ed->failure_probability(1.0);
-  cache->clear();
-  // Entry is gone; the handed-out function still answers identically.
+  cached.attach_cache(nullptr);
+  cache.reset();
+  // Every entry is gone; the handed-out function still answers identically.
   EXPECT_EQ(before, ed->failure_probability(1.0));
 }
 
@@ -162,9 +158,10 @@ TEST(EdWeightCache, ConcurrentReadersStress) {
                        model_options(channel::ChannelModel::kRayleigh));
   Tveg cached(t, unit_radio(),
               model_options(channel::ChannelModel::kRayleigh));
-  // Small capacity: evictions race with lookups too.
-  cached.attach_cache(std::make_shared<EdWeightCache>(EdWeightCache::Options{
-      .max_entries = 32}));
+  // Small ledger: evictions race with lookups too.
+  support::MemBudget mem(32 * EdWeightCache::kApproxEntryBytes);
+  cached.attach_cache(
+      std::make_shared<EdWeightCache>(EdWeightCache::Options{.mem = &mem}));
 
   // Deterministic query set, precomputed serial answers.
   struct Query {
@@ -214,16 +211,17 @@ TEST(EdWeightCache, StatsAccounting) {
   EXPECT_EQ(after.hits, 1u);
 }
 
-/// A byte bound (max_bytes) alone must drive pressure evictions — and the
-/// cached answers must stay exact throughout.
+/// A byte bound (the MemBudget ledger) must drive pressure evictions — and
+/// the cached answers must stay exact throughout.
 TEST(EdWeightCache, ByteBoundForcesPressureEvictions) {
   const trace::ContactTrace t = random_trace(17);
   const Tveg reference(t, unit_radio(),
                        model_options(channel::ChannelModel::kRayleigh));
   Tveg cached(t, unit_radio(),
               model_options(channel::ChannelModel::kRayleigh));
+  support::MemBudget mem(6 * EdWeightCache::kApproxEntryBytes);
   EdWeightCache::Options options;
-  options.max_bytes = 6 * EdWeightCache::kApproxEntryBytes;
+  options.mem = &mem;
   auto cache = std::make_shared<EdWeightCache>(options);
   cached.attach_cache(cache);
 
@@ -240,24 +238,20 @@ TEST(EdWeightCache, ByteBoundForcesPressureEvictions) {
               cached.edge_weight(a, b, time));
   }
   const auto stats = cache->stats();
-  EXPECT_GT(stats.pressure_evictions, 0u);
-  // Pressure evictions are a subset of all evictions, and the resident
-  // footprint stays a multiple of the approximate entry size.
-  EXPECT_GE(stats.evictions, stats.pressure_evictions);
+  EXPECT_GT(stats.evictions, 0u);
+  // The resident footprint stays a multiple of the approximate entry size.
   EXPECT_EQ(stats.approx_bytes % EdWeightCache::kApproxEntryBytes, 0u);
 }
 
 /// A shared MemBudget ledger mirrors residency exactly: charged on insert,
-/// released on eviction/clear/destruction, and its over() pressure evicts
-/// even when the cache's own bounds are unlimited.
+/// released on eviction and destruction, and its over() pressure evicts.
 TEST(EdWeightCache, SharedLedgerAccountsResidency) {
   const trace::ContactTrace t = random_trace(19);
   support::MemBudget mem(4 * EdWeightCache::kApproxEntryBytes);
   {
     Tveg cached(t, unit_radio(), model_options(channel::ChannelModel::kStep));
     EdWeightCache::Options options;
-    options.mem = &mem;  // no max_entries/max_bytes pressure of its own
-    options.max_entries = 0;
+    options.mem = &mem;
     auto cache = std::make_shared<EdWeightCache>(options);
     cached.attach_cache(cache);
 
@@ -272,16 +266,11 @@ TEST(EdWeightCache, SharedLedgerAccountsResidency) {
       (void)cached.edge_weight(a, b, rng.uniform(0.0, 200.0));
     }
     const auto stats = cache->stats();
-    EXPECT_GT(stats.pressure_evictions, 0u);
-    // Ledger and cache agree on the resident footprint.
+    EXPECT_GT(stats.evictions, 0u);
+    // Ledger and cache agree on the resident footprint, which destruction
+    // must release.
     EXPECT_EQ(mem.used(), stats.approx_bytes);
-
-    cache->clear();
-    EXPECT_EQ(mem.used(), 0u);
-    EXPECT_EQ(cache->stats().approx_bytes, 0u);
-
-    // Refill a little so destruction has bytes to release.
-    (void)cached.edge_weight(0, 1, 0.0);
+    EXPECT_GT(mem.used(), 0u);
   }
   // Cache (and Tveg) destroyed: everything was released back.
   EXPECT_EQ(mem.used(), 0u);
@@ -316,7 +305,7 @@ TEST(EdWeightCache, TwoCachesShareOneBudget) {
   // Both caches fed the same ledger, and at least one was pressured by the
   // other's residency.
   EXPECT_EQ(mem.used(), a->stats().approx_bytes + b->stats().approx_bytes);
-  EXPECT_GT(a->stats().pressure_evictions + b->stats().pressure_evictions, 0u);
+  EXPECT_GT(a->stats().evictions + b->stats().evictions, 0u);
 }
 
 }  // namespace

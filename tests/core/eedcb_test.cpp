@@ -38,6 +38,20 @@ TEST(Eedcb, ProducesFeasibleScheduleOnConnectedTrace) {
   EXPECT_GT(r.stats.aux_vertices, 0u);
 }
 
+TEST(Eedcb, DtsTruncationReachesTheStats) {
+  // run_eedcb(instance, options) builds its DTS internally; a per-node cap
+  // the closure hits must still surface in the returned stats.
+  const Tveg tveg = haggle_step_tveg();
+  const TmedbInstance inst{&tveg, 0, 5000.0};
+  EXPECT_FALSE(run_eedcb(inst).stats.dts_truncated);
+
+  EedcbOptions capped;
+  capped.dts.max_points_per_node = 2;
+  const SchedulerResult r = run_eedcb(inst, capped);
+  EXPECT_TRUE(r.stats.dts_truncated);
+  EXPECT_GT(r.stats.dts_points, 0u);
+}
+
 TEST(Eedcb, RecursiveGreedyNotWorseThanSpt) {
   const Tveg tveg = haggle_step_tveg();
   const TmedbInstance inst{&tveg, 0, 5000.0};

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/schedule.hpp"
-#include "support/deadline.hpp"
+#include "support/budget.hpp"
 #include "trace/generators.hpp"
 
 namespace tveg::fault {
@@ -54,7 +54,7 @@ TEST(Degrade, ForcedTimeoutStillYieldsFeasibleSchedule) {
   const DiscreteTimeSet dts = tveg.build_dts();
 
   RobustSolveOptions options;
-  options.budget_ms = 0;
+  options.budget = support::Budget::after_ms(0);
   const RobustSolveResult r = robust_solve(inst, dts, options);
 
   EXPECT_EQ(r.rung, SolverRung::kGreed);
@@ -78,7 +78,7 @@ TEST(Degrade, ExpiredBudgetShortCircuitsRungsInsteadOfRunningThem) {
   const DiscreteTimeSet dts = tveg.build_dts();
 
   RobustSolveOptions options;
-  options.budget_ms = 0;
+  options.budget = support::Budget::after_ms(0);
   const RobustSolveResult r = robust_solve(inst, dts, options);
 
   ASSERT_EQ(r.descents.size(), 2u);
@@ -104,7 +104,7 @@ TEST(Degrade, CancelledLadderThrowsInsteadOfDescending) {
   const support::CancelSource source;
   source.request_cancel();
   RobustSolveOptions options;
-  options.cancel = source.token();
+  options.budget = support::Budget(source.token());
   EXPECT_THROW(robust_solve(inst, dts, options), support::CancelledError);
 }
 
@@ -130,7 +130,7 @@ TEST(Degrade, FrLadderUnderForcedTimeoutStillAllocates) {
   const DiscreteTimeSet dts = fading.build_dts();
 
   RobustSolveOptions options;
-  options.budget_ms = 0;
+  options.budget = support::Budget::after_ms(0);
   core::AllocationOptions alloc;
   alloc.max_retries = 2;
   const RobustFrResult r = robust_solve_fr(inst, dts, options, alloc);
@@ -148,11 +148,11 @@ TEST(Degrade, RungNamesAreStable) {
 }
 
 TEST(Deadline, UnlimitedByDefaultAndExpiresWhenForced) {
-  const support::Deadline unlimited;
+  const support::Budget unlimited;
   EXPECT_FALSE(unlimited.expired());
   EXPECT_NO_THROW(unlimited.check("test"));
 
-  const support::Deadline expired = support::Deadline::after_ms(0);
+  const support::Budget expired = support::Budget::after_ms(0);
   EXPECT_TRUE(expired.expired());
   EXPECT_THROW(expired.check("test"), support::TimeoutError);
   try {

@@ -85,7 +85,7 @@ TEST(TvegLint, SuppressionCommentSilencesOneLine) {
   EXPECT_TRUE(lint_source("s.cpp", ok).empty());
 }
 
-TEST(TvegLint, RngAndDeadlineFilesAreExemptFromTheirRules) {
+TEST(TvegLint, RngFilesAreExemptAndWallClockHasNoExemption) {
   EXPECT_TRUE(
       lint_source("src/support/rng.cpp", "auto d = std::random_device{};\n")
           .empty());
@@ -93,9 +93,12 @@ TEST(TvegLint, RngAndDeadlineFilesAreExemptFromTheirRules) {
       lint_source("src/fault/plan.cpp", "auto d = std::random_device{};\n")
           .size(),
       1u);
-  EXPECT_TRUE(lint_source("src/support/deadline.hpp",
-                          "auto t = std::chrono::system_clock::now();\n")
-                  .empty());
+  // Budgets read steady_clock only; a wall-clock read is a finding even in
+  // the budget header.
+  const auto findings = lint_source(
+      "src/support/budget.hpp", "auto t = std::chrono::system_clock::now();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-wall-clock");
 }
 
 TEST(TvegLint, SteadyClockIsAllowed) {

@@ -111,7 +111,7 @@ std::string forced_demotion_dump(const std::string& path) {
   const DiscreteTimeSet dts = tveg.build_dts();
 
   fault::RobustSolveOptions options;
-  options.budget_ms = 0;
+  options.budget = support::Budget::after_ms(0);
   const fault::RobustSolveResult r = fault::robust_solve(inst, dts, options);
   EXPECT_EQ(r.rung, fault::SolverRung::kGreed);
 

@@ -13,6 +13,9 @@
 //   edge addition                brute force monotone (more contacts never
 //                                make the optimum worse)
 //   robust ladder certifies      certifier accepts every rung's schedule
+//   DTS permutation invariance   point-for-point equal DTS at τ ∈ {0, 1}
+//                                after shuffling contact order and
+//                                swapping each contact's endpoints
 //
 // A violation is shrunk with tests/prop/shrink.hpp before being reported,
 // so the failure message carries a paste-able minimal reproducer plus the
@@ -269,6 +272,31 @@ TEST(Metamorphic, EveryRobustLadderRungCertifies) {
                 certify_options(instance, channel::ChannelModel::kStep))
                 .feasible;
   });
+}
+
+TEST(Metamorphic, DtsIsInvariantUnderContactPermutation) {
+  // The DTS is a function of the contact *set*: neither the order contacts
+  // arrive in nor which endpoint a contact names first may move a point.
+  check_relation("DTS contact-permutation invariance", 0x08, [](const trace::ContactTrace& t) {
+    std::vector<trace::Contact> contacts = t.contacts();
+    support::Rng rng(t.contact_count());
+    rng.shuffle(contacts);
+    trace::ContactTrace permuted(t.node_count(), t.horizon());
+    for (const trace::Contact& c : contacts)
+      permuted.add({c.b, c.a, c.start, c.end, c.distance});
+
+    for (const Time tau : {0.0, 1.0}) {
+      const core::Tveg::Options options{.model = channel::ChannelModel::kStep,
+                                        .tau = tau};
+      const DiscreteTimeSet a = core::Tveg(t, unit_radio(), options).build_dts();
+      const DiscreteTimeSet b =
+          core::Tveg(permuted, unit_radio(), options).build_dts();
+      if (a.truncated() != b.truncated()) return true;
+      for (NodeId v = 0; v < t.node_count(); ++v)
+        if (a.points(v) != b.points(v)) return true;
+    }
+    return false;
+  }, /*nodes_lo=*/5, /*nodes_hi=*/10);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(CancelToken, DefaultTokenIsInertAndFree) {
   EXPECT_FALSE(token.valid());
   EXPECT_FALSE(token.cancelled());
   EXPECT_NO_THROW(token.check("anywhere"));
-  EXPECT_NO_THROW(token.note_poll());
 }
 
 TEST(CancelToken, SourceCancelReachesEveryToken) {
@@ -49,7 +48,7 @@ TEST(CancelToken, PollsCountAsHeartbeat) {
   EXPECT_EQ(source.polls(), 0u);
   token.check("a");
   token.check("a");
-  token.note_poll();
+  token.check("a");
   EXPECT_EQ(source.polls(), 3u);
 
   // Copies of the source share the same heartbeat (the watchdog holds one
@@ -60,16 +59,24 @@ TEST(CancelToken, PollsCountAsHeartbeat) {
   EXPECT_TRUE(source.cancel_requested());
 }
 
-TEST(Budget, DefaultIsUnlimitedAndDeadlineConverts) {
+TEST(Budget, DefaultIsUnlimitedAndAfterMsExpires) {
   const Budget unlimited;
-  EXPECT_TRUE(unlimited.unlimited());
-  EXPECT_FALSE(unlimited.exhausted());
+  EXPECT_FALSE(unlimited.time_limited());
+  EXPECT_FALSE(unlimited.cancel.valid());
+  EXPECT_FALSE(unlimited.expired());
   EXPECT_NO_THROW(unlimited.check("x"));
 
-  const Budget timed = Deadline::after_ms(0);
-  EXPECT_FALSE(timed.unlimited());
-  EXPECT_TRUE(timed.exhausted());
+  const Budget timed = Budget::after_ms(0);
+  EXPECT_TRUE(timed.time_limited());
+  EXPECT_TRUE(timed.expired());
   EXPECT_THROW(timed.check("x"), TimeoutError);
+
+  // A cancel-only budget (the ladder's final rung) never times out.
+  const CancelSource source;
+  const Budget cancel_only(source.token());
+  EXPECT_FALSE(cancel_only.time_limited());
+  EXPECT_TRUE(cancel_only.cancel.valid());
+  EXPECT_NO_THROW(cancel_only.check("x"));
 }
 
 TEST(Budget, CancellationWinsOverExpiredDeadline) {
@@ -77,13 +84,14 @@ TEST(Budget, CancellationWinsOverExpiredDeadline) {
   // deadline also lapsed while it was stuck.
   const CancelSource source;
   source.request_cancel();
-  const Budget budget(Deadline::after_ms(0), source.token());
-  EXPECT_TRUE(budget.exhausted());
+  const Budget budget = Budget::after_ms(0, source.token());
+  EXPECT_TRUE(budget.expired());
+  EXPECT_TRUE(budget.cancel.cancelled());
   EXPECT_THROW(budget.check("x"), CancelledError);
 }
 
 TEST(DeadlinePoller, ReadsTheClockEveryStridePolls) {
-  const Budget expired(Deadline::after_ms(0));
+  const Budget expired = Budget::after_ms(0);
   Budget::Poller poller(expired, "loop", /*stride=*/4);
   // Three polls stay clock-free; the fourth hits the stride boundary.
   EXPECT_NO_THROW(poller.poll());
@@ -94,7 +102,7 @@ TEST(DeadlinePoller, ReadsTheClockEveryStridePolls) {
 
 TEST(BudgetPoller, CancelIsObservedOnEveryPollRegardlessOfStride) {
   const CancelSource source;
-  const Budget budget(Deadline(), source.token());
+  const Budget budget(source.token());
   Budget::Poller poller(budget, "loop", /*stride=*/1024);
   EXPECT_NO_THROW(poller.poll());
   source.request_cancel();
@@ -103,7 +111,7 @@ TEST(BudgetPoller, CancelIsObservedOnEveryPollRegardlessOfStride) {
 }
 
 TEST(BudgetPoller, ExpiredDeadlineSurfacesWithinOneStride) {
-  const Budget budget(Deadline::after_ms(0));
+  const Budget budget = Budget::after_ms(0);
   Budget::Poller poller(budget, "loop", /*stride=*/8);
   bool threw = false;
   for (int i = 0; i < 8 && !threw; ++i) {
