@@ -149,7 +149,7 @@ drive_soak() {
   # Governance soak on the plain build: the same trace swept governed under
   # a ladder of per-request budgets — unlimited, tight, and zero (which must
   # shed every request yet still exit 0 under the degrade policy) — with a
-  # watchdog armed and the cache byte-budgeted, under both shed policies.
+  # watchdog armed, under both shed policies.
   # Then the cancellation-storm suite re-runs on the TSan build, where the
   # cross-thread cancel/watchdog traffic is instrumented.
   local build_dir="$1" tsan_dir="$2"
@@ -162,7 +162,7 @@ drive_soak() {
   for budget in -1 50 0; do
     "${tmedb}" sweep "${work}/soak.trace" --from 1000 --to 2000 --step 500 \
         --threads 4 --request-budget-ms "${budget}" --stall-ms 30000 \
-        --cache-budget-mb 1 --shed-policy degrade \
+        --shed-policy degrade \
         > "${work}/sweep-${budget}.out"
   done
   # Zero budget + degrade: every EEDCB cell fell back — the * marker from

@@ -75,12 +75,13 @@ expect_usage_error("--solver-budget-ms does not combine with the governance"
                    --request-budget-ms 100)
 expect_usage_error("--solver-budget-ms expects a non-negative number, got -5"
                    run ${trace} --deadline 1500 --solver-budget-ms -5)
-# There is no cache to bound under --no-cache.
-expect_usage_error("--cache-budget-mb bounds the ED-weight cache"
-                   run ${trace} --deadline 1500 --no-cache --cache-budget-mb 1)
-expect_usage_error("--cache-budget-mb bounds the ED-weight cache"
-                   sweep ${trace} --from 500 --to 1000 --no-cache
-                   --cache-budget-mb 1)
+# The ED-weight table is always on and unbounded: neither cache flag exists.
+foreach(cmd run sweep)
+  expect_usage_error("unknown option --no-cache"
+                     ${cmd} ${trace} --no-cache)
+  expect_usage_error("unknown option --cache-budget-mb"
+                     ${cmd} ${trace} --cache-budget-mb 1)
+endforeach()
 
 # The ladder runs with the workbench's scheduler options, so --threads
 # reaches its parallel Steiner phases.

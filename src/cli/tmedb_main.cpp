@@ -54,14 +54,12 @@ const Args::Spec& spec_for(const std::string& cmd) {
        {{"algorithm", "source", "deadline", "seed", "trials", "steiner",
          "level", "threads", "save-schedule", "metrics-out", "faults",
          "solver-budget-ms", "fault-log", "trace-out", "flight-out",
-         "request-budget-ms", "max-inflight", "cache-budget-mb", "stall-ms",
-         "shed-policy"},
-        {"trace", "no-cache"}}},
+         "request-budget-ms", "max-inflight", "stall-ms", "shed-policy"},
+        {"trace"}}},
       {"sweep", {{"source", "from", "to", "step", "seed", "threads",
                   "trace-out", "flight-out", "request-budget-ms",
-                  "max-inflight", "cache-budget-mb", "stall-ms",
-                  "shed-policy"},
-                 {"no-cache"}}},
+                  "max-inflight", "stall-ms", "shed-policy"},
+                 {}}},
       {"evaluate",
        {{"source", "deadline", "trials", "seed", "reliability", "interference"},
         {}}},
@@ -108,20 +106,6 @@ fault::GovernOptions parse_governance(const Args& args) {
     throw UsageError("--shed-policy expects degrade or error, got '" + policy +
                      "'");
   return gov;
-}
-
-/// --cache-budget-mb, converted to the workbench's byte budget. With
-/// --no-cache there is no cache to bound.
-std::size_t parse_cache_budget(const Args& args) {
-  if (args.has("cache-budget-mb") && args.has("no-cache"))
-    throw UsageError(
-        "--cache-budget-mb bounds the ED-weight cache, which --no-cache "
-        "disables");
-  const double mb = args.get_num("cache-budget-mb", 0);
-  if (mb < 0)
-    throw UsageError("--cache-budget-mb expects a non-negative number, got " +
-                     args.get("cache-budget-mb", "?"));
-  return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
 }
 
 /// --steiner / --level: recursive greedy at level 1 or 2 (the default), or
@@ -212,20 +196,17 @@ int usage() {
       "  tmedb run TRACE [--algorithm EEDCB|GREED|RAND|FR-EEDCB|FR-GREED|FR-RAND]\n"
       "                  [--source ID] [--deadline T] [--seed S] [--trials K]\n"
       "                  [--steiner greedy|spt] [--level 1|2]\n"
-      "                  [--threads N] [--no-cache]\n"
-      "                  [--save-schedule FILE]\n"
+      "                  [--threads N] [--save-schedule FILE]\n"
       "                  [--faults PLAN] [--solver-budget-ms N]\n"
       "                  [--fault-log FILE]\n"
       "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--cache-budget-mb M] [--stall-ms N]\n"
-      "                  [--shed-policy degrade|error]\n"
+      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
       "                  [--metrics-out FILE] [--trace]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb sweep TRACE [--source ID] [--from T0] [--to T1] [--step DT]\n"
-      "                  [--threads N] [--no-cache]\n"
+      "                  [--threads N]\n"
       "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--cache-budget-mb M] [--stall-ms N]\n"
-      "                  [--shed-policy degrade|error]\n"
+      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb evaluate TRACE SCHEDULE [--source ID] [--deadline T]\n"
       "                  [--trials K] [--reliability Q] [--interference 1]\n"
@@ -251,19 +232,15 @@ int usage() {
       "the solve wall-clock (EEDCB degrades to BIP, then GREED); it applies\n"
       "to --algorithm EEDCB or FR-EEDCB only and not with the governance\n"
       "flags below. --fault-log dumps the injected events for audit/replay.\n"
-      "--threads N runs the pipeline's parallel phases on N workers and\n"
-      "--no-cache disables ED-function memoization; both leave every\n"
-      "schedule byte-identical to the serial uncached solve.\n"
+      "--threads N runs the pipeline's parallel phases on N workers; every\n"
+      "schedule stays byte-identical to the serial solve.\n"
       "--request-budget-ms, --max-inflight, --stall-ms and --shed-policy\n"
       "route the EEDCB solves through the governed batch: each request gets\n"
       "its own deadline + cancel token, requests past the admission bound\n"
       "are shed, a watchdog force-cancels a solve that stops polling its\n"
       "budget for the stall window, and exhausted budgets either degrade to\n"
       "a GREED fallback schedule (shed-policy degrade, the default) or\n"
-      "return a structured error (shed-policy error). --cache-budget-mb\n"
-      "bounds the aggregate ED-weight cache footprint (an error with\n"
-      "--no-cache); pressure evicts whole shards and leaves results\n"
-      "byte-identical. In sweep output a\n"
+      "return a structured error (shed-policy error). In sweep output a\n"
       "trailing * marks a degraded EEDCB cell, 'shed'/'!' a shed or failed\n"
       "request.\n";
   return 2;
@@ -384,8 +361,6 @@ int cmd_sweep(const Args& args) {
 
   sim::Workbench::Options bench_options;
   bench_options.threads = parse_threads(args);
-  bench_options.use_cache = !args.has("no-cache");
-  bench_options.cache_budget_bytes = parse_cache_budget(args);
   const sim::Workbench bench(trace, sim::paper_radio(), bench_options);
 
   // Under governance flags the EEDCB column runs as one governed batch
@@ -481,8 +456,6 @@ int cmd_run(const Args& args) {
   sim::Workbench::Options bench_options;
   parse_steiner(args, bench_options);
   bench_options.threads = parse_threads(args);
-  bench_options.use_cache = !args.has("no-cache");
-  bench_options.cache_budget_bytes = parse_cache_budget(args);
   const bool governed = wants_governance(args);
   if (governed && *algorithm != sim::Algorithm::kEedcb)
     throw UsageError(

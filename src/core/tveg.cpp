@@ -34,6 +34,9 @@ Tveg::Tveg(const trace::ContactTrace& trace, channel::RadioParams radio,
   }
   for (auto& [e, profile_samples] : samples)
     for (const auto& [t, d] : profile_samples) distance_[e].add(t, d);
+  slot_offset_.resize(distance_.size() + 1, 0);
+  for (std::size_t e = 0; e < distance_.size(); ++e)
+    slot_offset_[e + 1] = slot_offset_[e] + distance_[e].size();
 }
 
 std::size_t Tveg::edge_of(NodeId a, NodeId b) const {
@@ -76,7 +79,7 @@ std::unique_ptr<channel::EdFunction> Tveg::materialize_ed(std::size_t e,
 
 double Tveg::failure_probability(NodeId a, NodeId b, Time t, Cost w) const {
   if (!graph_.adjacent(a, b, t)) return 1.0;  // Property 3.1(iii)
-  if (cache_) return cache_->ed(*this, edge_of(a, b), t)->failure_probability(w);
+  if (cache_) return cache_->ed(*this, edge_of(a, b), t).failure_probability(w);
   return ed_function(a, b, t)->failure_probability(w);
 }
 
@@ -86,12 +89,13 @@ Cost Tveg::edge_weight(NodeId a, NodeId b, Time t) const {
   return ed_function(a, b, t)->min_cost_for(radio_.epsilon);
 }
 
-std::size_t Tveg::distance_segment(std::size_t e, Time t) const {
+std::size_t Tveg::ed_slot(std::size_t e, Time t) const {
   TVEG_ASSERT(e < distance_.size());
-  return distance_[e].segment(t);
+  return slot_offset_[e] + distance_[e].segment(t);
 }
 
 void Tveg::attach_cache(std::shared_ptr<EdWeightCache> cache) {
+  if (cache) cache->bind(*this);
   cache_ = std::move(cache);
 }
 

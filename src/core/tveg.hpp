@@ -88,10 +88,11 @@ class Tveg {
   /// Attaches (or, with nullptr, detaches) a memoization cache. Every
   /// subsequent edge_weight / failure_probability / discrete_cost_set query
   /// is served from the cache; results are bit-identical to the uncached
-  /// path (tests/diff pins this). The cache may be shared between Tvegs
-  /// built from the same trace/radio/options (e.g. step and fading views
-  /// must NOT share one — their ED-functions differ). Not safe to call
-  /// concurrently with queries; attach before solving.
+  /// path (tests/diff pins this). The first attach binds the cache to this
+  /// Tveg and sizes its table; attaching it to another Tveg is an error
+  /// (step and fading views must not share one — their ED-functions
+  /// differ). Not safe to call concurrently with queries; attach before
+  /// solving.
   void attach_cache(std::shared_ptr<EdWeightCache> cache);
   const EdWeightCache* cache() const { return cache_.get(); }
 
@@ -101,9 +102,11 @@ class Tveg {
   std::unique_ptr<channel::EdFunction> materialize_ed(std::size_t e,
                                                       Time t) const;
 
-  /// Distance-profile segment index of edge `e` at `t` — the memoization
-  /// key component: the channel is constant within one segment.
-  std::size_t distance_segment(std::size_t e, Time t) const;
+  /// Dense index of (edge `e`, distance-profile segment at `t`) in
+  /// [0, ed_slot_count()) — the memoization key: the channel is constant
+  /// within one segment.
+  std::size_t ed_slot(std::size_t e, Time t) const;
+  std::size_t ed_slot_count() const { return slot_offset_.back(); }
 
   /// Graph edge id of pair (a, b), or npos when the pair never meets.
   std::size_t edge_index(NodeId a, NodeId b) const { return edge_of(a, b); }
@@ -118,7 +121,10 @@ class Tveg {
   Options options_;
   /// Distance profile per graph edge id.
   std::vector<channel::PiecewiseConstantProfile> distance_;
-  /// Optional memo for ED materialization / edge weights (thread-safe).
+  /// First ed_slot of each edge (prefix sums of profile sizes; one extra
+  /// trailing entry holds the total).
+  std::vector<std::size_t> slot_offset_;
+  /// Optional memo for ED materialization / edge weights (lock-free reads).
   std::shared_ptr<EdWeightCache> cache_;
 };
 

@@ -20,7 +20,7 @@ const char* flight_event_kind_name(FlightEventKind kind) {
     case FlightEventKind::kRungSelected: return "rung_selected";
     case FlightEventKind::kDeadlineExpired: return "deadline_expired";
     case FlightEventKind::kFaultInjected: return "fault_injected";
-    case FlightEventKind::kCacheEviction: return "cache_eviction";
+    case FlightEventKind::kDtsTruncated: return "dts_truncated";
     case FlightEventKind::kRepairDivergence: return "repair_divergence";
     case FlightEventKind::kRepairPatched: return "repair_patched";
     case FlightEventKind::kRungSkipped: return "rung_skipped";

@@ -2,7 +2,7 @@
 //
 // A fixed-size lock-free ring that captures the last N solver events —
 // fallback-ladder rung transitions, fault injections, deadline expirations,
-// cache evictions, schedule-repair divergences — so that when something
+// DTS truncations, schedule-repair divergences — so that when something
 // goes sideways (a rung demotes, a budget expires, a repair diverges) the
 // recent history can be dumped and attached to a bug report or replayed
 // against the seed.
@@ -36,7 +36,7 @@ enum class FlightEventKind : std::uint8_t {
   kRungSelected,      ///< a rung produced the result (a = rung, b = covered)
   kDeadlineExpired,   ///< a solve budget ran out (a = rung)
   kFaultInjected,     ///< a fault event entered the trace (a = kind, b = count)
-  kCacheEviction,     ///< an EdWeightCache shard was evicted (a = entries, b = shard)
+  kDtsTruncated,      ///< a DTS build hit its point cap (a = points, b = cap per node)
   kRepairDivergence,  ///< schedule repair detected divergence (a = uncovered)
   kRepairPatched,     ///< repair emitted a patch (a = patch size, b = still uncovered)
   kRungSkipped,       ///< an already-expired rung was short-circuited (a = rung)

@@ -95,12 +95,10 @@ inline constexpr char kNlpAlOuterIterations[] = "tveg.nlp.al.outer_iterations";
 inline constexpr char kNlpAlInnerIterations[] = "tveg.nlp.al.inner_iterations";
 inline constexpr char kNlpAlFinalViolation[] = "tveg.nlp.al.final_violation";
 
-// -- core/ed_weight_cache + memory ledger -----------------------------------
+// -- core/ed_weight_cache ---------------------------------------------------
 inline constexpr char kCacheBuilds[] = "tveg.cache.builds";
 inline constexpr char kCacheHits[] = "tveg.cache.hits";
 inline constexpr char kCacheMisses[] = "tveg.cache.misses";
-inline constexpr char kCacheEvictions[] = "tveg.cache.evictions";
-inline constexpr char kMemCacheBytes[] = "tveg.mem.cache_bytes";
 
 // -- sim/monte_carlo --------------------------------------------------------
 inline constexpr char kMcRuns[] = "tveg.mc.runs";
@@ -147,7 +145,7 @@ inline constexpr char kBatchAuxReuses[] = "tveg.batch.aux_reuses";
 inline constexpr const char* kFlightEventNames[] = {
     "solve_start",       "rung_start",      "rung_demoted",
     "rung_selected",     "deadline_expired", "fault_injected",
-    "cache_eviction",    "repair_divergence", "repair_patched",
+    "dts_truncated",     "repair_divergence", "repair_patched",
     "rung_skipped",      "stall_detected",  "request_shed",
     "note",
 };

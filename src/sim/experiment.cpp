@@ -46,10 +46,6 @@ Workbench::Workbench(const trace::ContactTrace& trace,
 Workbench::Workbench(const trace::ContactTrace& trace,
                      channel::RadioParams radio, Options options)
     : options_(options),
-      cache_budget_(options.cache_budget_bytes > 0
-                        ? std::make_unique<support::MemBudget>(
-                              options.cache_budget_bytes)
-                        : nullptr),
       pool_(options.threads > 0
                 ? std::make_unique<support::ThreadPool>(options.threads)
                 : nullptr),
@@ -63,15 +59,9 @@ Workbench::Workbench(const trace::ContactTrace& trace,
                               .tau = options.tau})),
       // Both views share topology and breakpoints, so one DTS serves both.
       dts_(step_->build_dts(options.dts)) {
-  if (options.use_cache) {
-    // One cache per channel view — their ED-functions differ, so they must
-    // never share entries. They do share the byte ledger (when bounded), so
-    // the budget governs their aggregate footprint.
-    core::EdWeightCache::Options cache;
-    cache.mem = cache_budget_.get();
-    step_->attach_cache(std::make_shared<core::EdWeightCache>(cache));
-    fading_->attach_cache(std::make_shared<core::EdWeightCache>(cache));
-  }
+  // One ED-weight table per channel view — their ED-functions differ.
+  step_->attach_cache(std::make_shared<core::EdWeightCache>());
+  fading_->attach_cache(std::make_shared<core::EdWeightCache>());
 }
 
 core::EedcbOptions Workbench::eedcb_options() const {

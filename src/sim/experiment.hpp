@@ -16,7 +16,6 @@
 #include "core/tveg.hpp"
 #include "fault/govern.hpp"
 #include "sim/monte_carlo.hpp"
-#include "support/mem_budget.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/contact_trace.hpp"
 
@@ -61,14 +60,6 @@ class Workbench {
     /// (the differential-testing oracle). Schedules are byte-identical for
     /// every thread count.
     std::size_t threads = 0;
-    /// Memoize ED-function materialization and edge weights (one
-    /// core::EdWeightCache per channel view). Disabling reproduces the
-    /// memoization-free pipeline bit for bit, only slower.
-    bool use_cache = true;
-    /// Aggregate byte budget for BOTH views' ED-weight caches, enforced via
-    /// a shared support::MemBudget (pressure evicts whole shards; cached
-    /// results stay bit-identical, only residency changes). 0 = unbounded.
-    std::size_t cache_budget_bytes = 0;
   };
 
   Workbench(const trace::ContactTrace& trace, channel::RadioParams radio,
@@ -123,9 +114,6 @@ class Workbench {
 
  private:
   Options options_;
-  /// Declared before the Tvegs: their attached caches hold a raw pointer to
-  /// this ledger and must release into it during their own destruction.
-  std::unique_ptr<support::MemBudget> cache_budget_;
   std::unique_ptr<support::ThreadPool> pool_;
   std::unique_ptr<core::Tveg> step_;
   std::unique_ptr<core::Tveg> fading_;

@@ -12,8 +12,8 @@
 // clock reads). A default Budget is unlimited and uncancellable and costs
 // one branch per poll — no clock read.
 //
-// Bytes are bounded elsewhere: the ED-weight cache's support::MemBudget
-// ledger is the one byte bound.
+// There is no byte bound: the one memo, the ED-weight table, is sized once
+// per TVEG (one slot per edge distance segment) and never grows.
 #pragma once
 
 #include <chrono>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -78,7 +79,12 @@ DiscreteTimeSet DiscreteTimeSet::build(const TimeVaryingGraph& g,
   builds.add(1);
   points.add(dts.total_points());
   closure.add(propagations);
-  if (dts.truncated_) truncations.add(1);
+  if (dts.truncated_) {
+    truncations.add(1);
+    obs::flight_recorder().record(obs::FlightEventKind::kDtsTruncated,
+                                  dts.total_points(),
+                                  options.max_points_per_node);
+  }
   return dts;
 }
 

@@ -1,12 +1,15 @@
 // EdWeightCache property tests: cached queries must be indistinguishable —
 // bit for bit — from the memoization-free Tveg, under random interleaved
-// lookups, under capacity pressure (whole-shard eviction), and under
-// concurrent readers (the TSan tier runs the stress test instrumented).
+// lookups and under concurrent readers (the TSan tier runs the stress test
+// instrumented); each (edge, segment) slot is filled exactly once, and a
+// cache serves one Tveg.
 #include "core/ed_weight_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/tveg.hpp"
@@ -102,66 +105,17 @@ TEST(EdWeightCache, DiscreteCostSetsMatch) {
     }
 }
 
-/// A pathologically small ledger forces whole-shard evictions mid-stream;
-/// results must stay exact and the eviction counter must move.
-TEST(EdWeightCache, EvictionPreservesCorrectness) {
-  const trace::ContactTrace t = random_trace(3);
-  const Tveg reference(t, unit_radio(),
-                       model_options(channel::ChannelModel::kNakagami));
-  Tveg cached(t, unit_radio(),
-              model_options(channel::ChannelModel::kNakagami));
-  support::MemBudget mem(4 * EdWeightCache::kApproxEntryBytes);
-  auto cache =
-      std::make_shared<EdWeightCache>(EdWeightCache::Options{.mem = &mem});
-  cached.attach_cache(cache);
-
-  support::Rng rng(5);
-  const auto n = reference.node_count();
-  for (int q = 0; q < 3000; ++q) {
-    const auto a = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    const auto b = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    if (a == b) continue;
-    const Time time = rng.uniform(0.0, 200.0);
-    ASSERT_EQ(reference.edge_weight(a, b, time),
-              cached.edge_weight(a, b, time));
-  }
-  EXPECT_GT(cache->stats().evictions, 0u);
-}
-
-/// An ED-function handed out by the cache must survive eviction of its
-/// entry (shared ownership), not dangle — down to the cache itself dying.
-TEST(EdWeightCache, HandedOutEdSurvivesEviction) {
-  const trace::ContactTrace t = random_trace(9);
-  Tveg cached(t, unit_radio(),
-              model_options(channel::ChannelModel::kRayleigh));
-  auto cache = std::make_shared<EdWeightCache>();
-  cached.attach_cache(cache);
-
-  const std::size_t e = cached.edge_index(0, 1);
-  if (e == Tveg::npos) GTEST_SKIP() << "pair 0-1 never meets in this trace";
-  const auto ed = cache->ed(cached, e, 0.0);
-  const double before = ed->failure_probability(1.0);
-  cached.attach_cache(nullptr);
-  cache.reset();
-  // Every entry is gone; the handed-out function still answers identically.
-  EXPECT_EQ(before, ed->failure_probability(1.0));
-}
-
 /// Concurrent readers hammering one cache (including races on the same
-/// cold key, which fill twice with identical values) must agree with the
-/// serial reference. The TSan CI tier runs this instrumented.
+/// cold slot, where both fillers materialize the identical value and the
+/// first to publish wins) must agree with the serial reference. The TSan CI
+/// tier runs this instrumented.
 TEST(EdWeightCache, ConcurrentReadersStress) {
   const trace::ContactTrace t = random_trace(13);
   const Tveg reference(t, unit_radio(),
                        model_options(channel::ChannelModel::kRayleigh));
   Tveg cached(t, unit_radio(),
               model_options(channel::ChannelModel::kRayleigh));
-  // Small ledger: evictions race with lookups too.
-  support::MemBudget mem(32 * EdWeightCache::kApproxEntryBytes);
-  cached.attach_cache(
-      std::make_shared<EdWeightCache>(EdWeightCache::Options{.mem = &mem}));
+  cached.attach_cache(std::make_shared<EdWeightCache>());
 
   // Deterministic query set, precomputed serial answers.
   struct Query {
@@ -193,8 +147,8 @@ TEST(EdWeightCache, ConcurrentReadersStress) {
     ASSERT_TRUE(ok[i]) << "query " << i;
 }
 
-/// Caches flush their counters into tveg.cache.* on destruction; builds are
-/// counted immediately.
+/// A fresh cache has counted nothing; the first lookup of a slot is a miss
+/// (the fill) and the next one a hit.
 TEST(EdWeightCache, StatsAccounting) {
   const trace::ContactTrace t = random_trace(1);
   Tveg cached(t, unit_radio(), model_options(channel::ChannelModel::kStep));
@@ -211,101 +165,61 @@ TEST(EdWeightCache, StatsAccounting) {
   EXPECT_EQ(after.hits, 1u);
 }
 
-/// A byte bound (the MemBudget ledger) must drive pressure evictions — and
-/// the cached answers must stay exact throughout.
-TEST(EdWeightCache, ByteBoundForcesPressureEvictions) {
-  const trace::ContactTrace t = random_trace(17);
-  const Tveg reference(t, unit_radio(),
-                       model_options(channel::ChannelModel::kRayleigh));
+/// Lookups that land in one (edge, segment) slot return the one ED-function
+/// object that slot holds, and a serial DCS sweep over every DTS point fills
+/// each slot it touches exactly once.
+TEST(EdWeightCache, RepeatedLookupsShareOneSlot) {
+  const trace::ContactTrace t = random_trace(5);
   Tveg cached(t, unit_radio(),
-              model_options(channel::ChannelModel::kRayleigh));
-  support::MemBudget mem(6 * EdWeightCache::kApproxEntryBytes);
-  EdWeightCache::Options options;
-  options.mem = &mem;
-  auto cache = std::make_shared<EdWeightCache>(options);
+              model_options(channel::ChannelModel::kRician));
+  auto cache = std::make_shared<EdWeightCache>();
   cached.attach_cache(cache);
 
-  support::Rng rng(21);
-  const auto n = reference.node_count();
-  for (int q = 0; q < 2000; ++q) {
-    const auto a = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    const auto b = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    if (a == b) continue;
-    const Time time = rng.uniform(0.0, 200.0);
-    ASSERT_EQ(reference.edge_weight(a, b, time),
-              cached.edge_weight(a, b, time));
+  const std::size_t e = cached.edge_index(0, 1);
+  if (e == Tveg::npos) GTEST_SKIP() << "pair 0-1 never meets in this trace";
+  std::vector<const channel::EdFunction*> by_slot(cached.ed_slot_count(),
+                                                  nullptr);
+  for (Time time = 0.0; time <= 200.0; time += 2.5) {
+    const channel::EdFunction* ed = &cache->ed(cached, e, time);
+    EXPECT_EQ(ed, &cache->ed(cached, e, time)) << "t=" << time;
+    const channel::EdFunction*& first = by_slot[cached.ed_slot(e, time)];
+    if (first == nullptr) first = ed;
+    EXPECT_EQ(first, ed) << "t=" << time;
   }
-  const auto stats = cache->stats();
-  EXPECT_GT(stats.evictions, 0u);
-  // The resident footprint stays a multiple of the approximate entry size.
-  EXPECT_EQ(stats.approx_bytes % EdWeightCache::kApproxEntryBytes, 0u);
-}
 
-/// A shared MemBudget ledger mirrors residency exactly: charged on insert,
-/// released on eviction and destruction, and its over() pressure evicts.
-TEST(EdWeightCache, SharedLedgerAccountsResidency) {
-  const trace::ContactTrace t = random_trace(19);
-  support::MemBudget mem(4 * EdWeightCache::kApproxEntryBytes);
-  {
-    Tveg cached(t, unit_radio(), model_options(channel::ChannelModel::kStep));
-    EdWeightCache::Options options;
-    options.mem = &mem;
-    auto cache = std::make_shared<EdWeightCache>(options);
-    cached.attach_cache(cache);
-
-    support::Rng rng(23);
-    const auto n = cached.node_count();
-    for (int q = 0; q < 1500; ++q) {
-      const auto a = static_cast<NodeId>(rng.uniform_int(
-          static_cast<std::uint64_t>(n)));
-      const auto b = static_cast<NodeId>(rng.uniform_int(
-          static_cast<std::uint64_t>(n)));
-      if (a == b) continue;
-      (void)cached.edge_weight(a, b, rng.uniform(0.0, 200.0));
+  Tveg swept(t, unit_radio(), model_options(channel::ChannelModel::kRician));
+  auto table = std::make_shared<EdWeightCache>();
+  swept.attach_cache(table);
+  const DiscreteTimeSet dts = swept.build_dts();
+  std::set<std::size_t> touched;
+  std::uint64_t lookups = 0;
+  for (NodeId i = 0; i < swept.node_count(); ++i)
+    for (Time time : dts.points(i)) {
+      for (NodeId j : swept.graph().neighbors_at(i, time)) {
+        touched.insert(swept.ed_slot(swept.edge_index(i, j), time));
+        ++lookups;
+      }
+      (void)swept.discrete_cost_set(i, time);
     }
-    const auto stats = cache->stats();
-    EXPECT_GT(stats.evictions, 0u);
-    // Ledger and cache agree on the resident footprint, which destruction
-    // must release.
-    EXPECT_EQ(mem.used(), stats.approx_bytes);
-    EXPECT_GT(mem.used(), 0u);
-  }
-  // Cache (and Tveg) destroyed: everything was released back.
-  EXPECT_EQ(mem.used(), 0u);
+  const auto stats = table->stats();
+  ASSERT_GT(touched.size(), 0u);
+  EXPECT_EQ(stats.misses, touched.size());
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
 }
 
-/// Two caches charging one ledger: aggregate pressure governs both.
-TEST(EdWeightCache, TwoCachesShareOneBudget) {
-  const trace::ContactTrace t = random_trace(29);
-  support::MemBudget mem(8 * EdWeightCache::kApproxEntryBytes);
-  EdWeightCache::Options options;
-  options.mem = &mem;
-  Tveg step_view(t, unit_radio(), model_options(channel::ChannelModel::kStep));
-  Tveg fading_view(t, unit_radio(),
-                   model_options(channel::ChannelModel::kRayleigh));
-  auto a = std::make_shared<EdWeightCache>(options);
-  auto b = std::make_shared<EdWeightCache>(options);
-  step_view.attach_cache(a);
-  fading_view.attach_cache(b);
-
-  support::Rng rng(31);
-  const auto n = step_view.node_count();
-  for (int q = 0; q < 1500; ++q) {
-    const auto x = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    const auto y = static_cast<NodeId>(rng.uniform_int(
-        static_cast<std::uint64_t>(n)));
-    if (x == y) continue;
-    const Time time = rng.uniform(0.0, 200.0);
-    (void)step_view.edge_weight(x, y, time);
-    (void)fading_view.edge_weight(x, y, time);
-  }
-  // Both caches fed the same ledger, and at least one was pressured by the
-  // other's residency.
-  EXPECT_EQ(mem.used(), a->stats().approx_bytes + b->stats().approx_bytes);
-  EXPECT_GT(a->stats().evictions + b->stats().evictions, 0u);
+/// The first attach binds a cache to its Tveg; a second Tveg is rejected,
+/// while detaching and re-attaching to the owner is fine.
+TEST(EdWeightCache, BoundCacheRejectsASecondTveg) {
+  const trace::ContactTrace t = random_trace(23);
+  Tveg owner(t, unit_radio(), model_options(channel::ChannelModel::kStep));
+  Tveg other(t, unit_radio(), model_options(channel::ChannelModel::kStep));
+  auto cache = std::make_shared<EdWeightCache>();
+  owner.attach_cache(cache);
+  EXPECT_THROW(other.attach_cache(cache), std::invalid_argument);
+  EXPECT_EQ(other.cache(), nullptr);
+  owner.attach_cache(nullptr);
+  EXPECT_NO_THROW(owner.attach_cache(cache));
+  EXPECT_EQ(owner.cache(), cache.get());
 }
 
 }  // namespace

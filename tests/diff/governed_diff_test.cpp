@@ -3,8 +3,7 @@
 // fault::solve_many_governed must be BYTE-identical to solving its request
 // alone with run_eedcb — transmission lists under exact double equality,
 // same serialized text — across seeded random TVEGs, serial, with cache +
-// pool, under a squeezed memory budget, and with a poisoned request planted
-// mid-batch.
+// pool, and with a poisoned request planted mid-batch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -157,37 +156,6 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
                        governed[i].outcome.value().schedule, seed);
       ++baseline_index;
     }
-  }
-}
-
-/// A bounded cache (byte pressure evicting whole shards mid-batch) must not
-/// move a single bit of any schedule.
-TEST(GovernedDiff, MemoryPressureEvictionsPreserveSchedules) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const int nodes = 6;
-    const trace::ContactTrace t = random_trace(seed, nodes);
-    const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    Tveg squeezed(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    support::MemBudget mem(8 * EdWeightCache::kApproxEntryBytes);
-    EdWeightCache::Options cache_opt;
-    cache_opt.mem = &mem;
-    auto cache = std::make_shared<EdWeightCache>(cache_opt);
-    squeezed.attach_cache(cache);
-
-    const std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = one_shot(serial, requests);
-
-    const auto governed = fault::solve_many_governed(
-        squeezed, squeezed.build_dts(), requests);
-    ASSERT_EQ(governed.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(governed[i].outcome.ok())
-          << "seed " << seed << " request " << i;
-      expect_identical(baseline[i].schedule,
-                       governed[i].outcome.value().schedule, seed);
-    }
-    // The tiny budget actually bit: shards were evicted under pressure.
-    EXPECT_GT(cache->stats().evictions, 0u) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+
+#include "obs/flight_recorder.hpp"
 
 namespace tveg {
 namespace {
@@ -83,6 +86,27 @@ TEST(Dts, TruncationFlag) {
   const auto dts = DiscreteTimeSet::build(g, options);
   EXPECT_TRUE(dts.truncated());
   for (NodeId v = 0; v < 4; ++v) EXPECT_LE(dts.points(v).size(), 3u);
+}
+
+TEST(Dts, TruncationRecordsOneFlightEvent) {
+  const auto g = line_graph(0.5);
+  obs::FlightRecorder& rec = obs::flight_recorder();
+  rec.reset();
+  const auto uncapped = DiscreteTimeSet::build(g);
+  EXPECT_FALSE(uncapped.truncated());
+  EXPECT_EQ(rec.dump_string().find("dts_truncated"), std::string::npos);
+
+  DtsOptions options;
+  options.max_points_per_node = 3;
+  const auto capped = DiscreteTimeSet::build(g, options);
+  ASSERT_TRUE(capped.truncated());
+  const std::string dump = rec.dump_string();
+  const std::string event = "dts_truncated a=" +
+                            std::to_string(capped.total_points()) + " b=3";
+  const auto at = dump.find(event);
+  ASSERT_NE(at, std::string::npos) << dump;
+  EXPECT_EQ(dump.find("dts_truncated", at + 1), std::string::npos) << dump;
+  rec.reset();
 }
 
 TEST(Dts, GlobalPointsSortedUnique) {
