@@ -83,8 +83,8 @@ BENCHMARK(BM_AuxDigraphFreeze)->Arg(10)->Arg(20)->Arg(30);
 
 void BM_AuxFirstSolverQuery(benchmark::State& state) {
   // First query against a freshly built aux graph: SteinerSolver
-  // construction (reversed CSR + pooled workspace acquire) plus the SPT
-  // heuristic — the latency a caller sees after AuxGraph construction.
+  // construction (pooled workspace acquire) plus the SPT heuristic — the
+  // latency a caller sees after AuxGraph construction.
   Fixture f(static_cast<NodeId>(state.range(0)));
   double cost = 0;
   for (auto _ : state) {

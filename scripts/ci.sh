@@ -34,7 +34,8 @@
 #            tveg-analyze: the project invariant checkers gate every speed
 #            setting; the fuzz.corpus_replay ctests still ran with the
 #            plain suite)
-#   --bench  additionally run scripts/bench_gate.sh (bench regression gate)
+#   --bench  additionally run perfbench/counter_test.py (benchmark counters
+#            repeat) and scripts/bench_gate.sh (bench regression gate)
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -216,6 +217,11 @@ else
 fi
 
 if [[ "${BENCH}" -eq 1 ]]; then
+  # The end-to-end benchmark's work counters (Steiner runs, settles,
+  # relaxations, ...) must repeat exactly for a seed. This deterministic
+  # check runs first, so a timing-gate failure cannot skip it.
+  echo "==== [bench] perfbench/counter_test.py ===="
+  (cd "${REPO_ROOT}" && python3 perfbench/counter_test.py)
   echo "==== [bench] scripts/bench_gate.sh ===="
   BUILD_DIR="${REPO_ROOT}/build-ci" "${REPO_ROOT}/scripts/bench_gate.sh"
 fi

@@ -84,22 +84,36 @@ foreach(cmd run sweep)
 endforeach()
 
 # The ladder runs with the workbench's scheduler options, so --threads
-# reaches its parallel Steiner phases.
-execute_process(
-  COMMAND ${TMEDB} run ${trace} --source 0 --deadline 1500 --trials 10
-          --threads 2 --solver-budget-ms 600000
-          --metrics-out ${WORKDIR}/flags_ladder_metrics.json
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "run --threads 2 --solver-budget-ms failed: ${rc}")
-endif()
-if(NOT out MATCHES "solver rung: +eedcb")
-  message(FATAL_ERROR "the ladder did not finish on EEDCB: ${out}")
-endif()
-file(READ ${WORKDIR}/flags_ladder_metrics.json doc)
-string(JSON dijkstras ERROR_VARIABLE json_err
-       GET "${doc}" metrics counters tveg.parallel.steiner_dijkstras)
-if(json_err OR NOT dijkstras GREATER 0)
-  message(FATAL_ERROR
-          "--threads did not reach the ladder: steiner_dijkstras=${dijkstras}")
-endif()
+# reaches its pooled aux-graph DCS precompute; the same run without
+# --threads fills the DCS serially and counts no pool task (an absent
+# counter was never incremented).
+foreach(threads 2 0)
+  set(flags --threads ${threads})
+  if(threads EQUAL 0)
+    set(flags)
+  endif()
+  execute_process(
+    COMMAND ${TMEDB} run ${trace} --source 0 --deadline 1500 --trials 10
+            ${flags} --solver-budget-ms 600000
+            --metrics-out ${WORKDIR}/flags_ladder_metrics_${threads}.json
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "run ${flags} --solver-budget-ms failed: ${rc}")
+  endif()
+  if(NOT out MATCHES "solver rung: +eedcb")
+    message(FATAL_ERROR "the ladder did not finish on EEDCB: ${out}")
+  endif()
+  file(READ ${WORKDIR}/flags_ladder_metrics_${threads}.json doc)
+  string(JSON tasks ERROR_VARIABLE json_err
+         GET "${doc}" metrics counters tveg.parallel.aux_dcs_tasks)
+  if(json_err)
+    set(tasks 0)
+  endif()
+  if(threads EQUAL 0 AND NOT tasks EQUAL 0)
+    message(FATAL_ERROR
+            "a run without --threads used the pool: aux_dcs_tasks=${tasks}")
+  elseif(threads GREATER 0 AND NOT tasks GREATER 0)
+    message(FATAL_ERROR
+            "--threads did not reach the ladder: aux_dcs_tasks=${tasks}")
+  endif()
+endforeach()

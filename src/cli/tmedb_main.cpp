@@ -232,8 +232,10 @@ int usage() {
       "the solve wall-clock (EEDCB degrades to BIP, then GREED); it applies\n"
       "to --algorithm EEDCB or FR-EEDCB only and not with the governance\n"
       "flags below. --fault-log dumps the injected events for audit/replay.\n"
-      "--threads N runs the pipeline's parallel phases on N workers; every\n"
-      "schedule stays byte-identical to the serial solve.\n"
+      "--threads N fills the auxiliary graph's discrete cost sets on N\n"
+      "workers (the Steiner search is serial; Monte-Carlo trials always use\n"
+      "the shared process pool); every schedule stays byte-identical to the\n"
+      "serial solve.\n"
       "--request-budget-ms, --max-inflight, --stall-ms and --shed-policy\n"
       "route the EEDCB solves through the governed batch: each request gets\n"
       "its own deadline + cancel token, requests past the admission bound\n"

@@ -50,7 +50,6 @@ SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
   const std::vector<graph::VertexId> terminals = aux.terminals_for(instance);
 
   solver.set_budget(options.budget);
-  solver.set_pool(options.pool);
   graph::SteinerResult tree;
   {
     obs::Span span("steiner", &result.stats.steiner_ms);

@@ -41,9 +41,10 @@ struct EedcbOptions {
   /// a cheaper scheduler; the governance layer (fault/govern.hpp) catches
   /// both per request. Default: unlimited, non-cancellable.
   support::Budget budget;
-  /// Optional worker pool for aux-graph construction and the Steiner
-  /// solver's parallel phases. Schedules are byte-identical with or without
-  /// a pool (tests/diff pins this); nullptr = fully serial.
+  /// Optional worker pool for the aux graph's discrete-cost-set
+  /// precompute; the Steiner search runs serially. Schedules are
+  /// byte-identical with or without a pool (tests/diff pins this);
+  /// nullptr = fully serial.
   support::ThreadPool* pool = nullptr;
 };
 

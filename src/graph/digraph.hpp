@@ -52,6 +52,9 @@ class Digraph {
   /// traversal of a never-frozen graph.
   void freeze();
   bool frozen() const { return frozen_; }
+  /// freeze() through a const reference — the lazy path every traversal
+  /// takes. Owners that share a graph across threads call it up front.
+  void ensure_frozen() const;
 
   /// Returns to an empty building state with `n` vertices, keeping every
   /// buffer's capacity — the reuse hook for per-query scratch subgraphs.
@@ -64,14 +67,13 @@ class Digraph {
   /// The out-arcs of v in insertion order (freezes a never-frozen graph).
   std::span<const Arc> out(VertexId v) const;
 
-  /// The reversed graph, already frozen (used for distance-to-terminal
-  /// preprocessing). Per-vertex arc order is by (source vertex, position) —
-  /// identical to the historical add_arc replay.
+  /// The reversed graph, already frozen (the differential oracle of
+  /// graph::distances_to). Per-vertex arc order is by (source vertex,
+  /// position) — identical to the historical add_arc replay.
   Digraph reversed() const;
 
  private:
   void check_vertex(VertexId v) const;
-  void ensure_frozen() const;
 
   VertexId vertices_ = 0;
   bool frozen_ = false;

@@ -92,9 +92,10 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
 
 SteinerSolver::SteinerSolver(const Digraph& g)
     : g_(g),
-      reversed_(g.reversed()),
       forward_slot_(static_cast<std::size_t>(g.vertex_count()), -1),
-      ws_(acquire_workspace()) {}
+      ws_(acquire_workspace()) {
+  g_.ensure_frozen();
+}
 
 /// Clears per-query stats on entry to a public solver method and flushes
 /// them into the registry when the query finishes.
@@ -129,6 +130,7 @@ const ShortestPaths& SteinerSolver::forward_from(VertexId v) {
   std::int32_t slot = forward_slot_[i];
   if (slot < 0) {
     budget_.check("steiner");
+    const obs::Span span("steiner_forward");
     slot = static_cast<std::int32_t>(forward_store_.size());
     forward_store_.push_back(dijkstra(g_, v, *ws_));
     forward_slot_[i] = slot;
@@ -145,6 +147,7 @@ SteinerResult SteinerSolver::shortest_path_heuristic(
   for (VertexId t : terminals)
     if (t != root && sp.dist[static_cast<std::size_t>(t)] < kInf)
       builder.add_path(sp, t);
+  const obs::Span span("steiner_finalize");
   SteinerResult result = finalize(builder, root, terminals, g_.vertex_count(),
                                   scratch_sub_, *ws_);
   for (VertexId t : terminals)
@@ -181,88 +184,99 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
 
   // Level >= 2: repeatedly pick the intermediate root u and count k' whose
   // level-1 bunch has the best density estimate
-  //   (dist(v→u) + Σ k'-cheapest dist(u→terminal)) / k'.
-  std::size_t remaining = want;
+  //   (dist(v→u) + Σ k'-cheapest dist(u→terminal)) / k',
+  // the first (u, k') attaining the minimum, u then k' ascending. A pick can
+  // only raise the others' best densities, so the scan is lazy (CELF,
+  // DESIGN.md "The Steiner search"): every u is evaluated once into a
+  // min-heap on (density, u); each later pass re-evaluates the popped
+  // entries stamped by an earlier pass, and the first entry popped with the
+  // current stamp wins. Equal densities pop in u order.
+  struct Candidate {
+    double density;
+    VertexId u;
+    std::uint32_t k;
+    std::uint32_t pass;
+  };
+  const auto after = [](const Candidate& a, const Candidate& b) {
+    return a.density > b.density || (a.density == b.density && a.u > b.u);
+  };
   const std::size_t kTerms = term_count_;
-  while (remaining > 0) {
-    budget_.check("steiner");
+  std::vector<double> dists;
+  // u's first-minimum (density, k') under the current cover; false when u
+  // reaches no uncovered terminal.
+  const auto evaluate = [&](std::size_t remaining, Candidate& c) {
+    dists.clear();
+    // dist_to_term_ is terminal-major: the k loop walks one contiguous row
+    // of the matrix.
+    const double* row =
+        dist_to_term_.data() + static_cast<std::size_t>(c.u) * kTerms;
+    for (std::size_t k = 0; k < kTerms; ++k) {
+      if (state.covered[k]) continue;
+      const double d = row[k];
+      if (d < kInf) dists.push_back(d);
+    }
+    const std::size_t take = std::min(remaining, dists.size());
+    std::partial_sort(dists.begin(),
+                      dists.begin() + static_cast<std::ptrdiff_t>(take),
+                      dists.end());
+    c.density = kInf;
+    double sum = sp.dist[static_cast<std::size_t>(c.u)];
+    for (std::size_t kp = 1; kp <= take; ++kp) {
+      sum += dists[kp - 1];
+      const double density = sum / static_cast<double>(kp);
+      if (density < c.density) {
+        c.density = density;
+        c.k = static_cast<std::uint32_t>(kp);
+      }
+    }
+    return c.density < kInf;
+  };
 
-    // One scan pass over a contiguous vertex range, keeping the first
-    // (u, k') attaining the minimum density (strict <, u then k' ascending).
-    struct Best {
-      double density = kInf;
-      VertexId u = kNoVertex;
-      std::size_t k = 0;
-    };
-    const auto scan_range = [&](VertexId lo, VertexId hi) {
-      Best best;
-      std::vector<double> dists;
-      // Strided budget poller: one relaxed cancel load per vertex, one clock
-      // read per stride. Constructed per invocation, so each pool chunk
-      // counts its own stride — pollers are not shared across threads.
-      support::Budget::Poller poller(budget_, "steiner_density_scan");
-      for (VertexId u = lo; u < hi; ++u) {
-        poller.poll();
-        const double to_u = sp.dist[static_cast<std::size_t>(u)];
-        if (to_u == kInf) continue;
-        dists.clear();
-        // dist_to_term_ is terminal-major: the k loop walks one contiguous
-        // row of the matrix.
-        const double* row = dist_to_term_.data() +
-                            static_cast<std::size_t>(u) * kTerms;
-        for (std::size_t k = 0; k < kTerms; ++k) {
-          if (state.covered[k]) continue;
-          const double d = row[k];
-          if (d < kInf) dists.push_back(d);
+  std::vector<Candidate> heap;
+  {
+    const obs::Span span("steiner_scan");
+    support::Budget::Poller poller(budget_, "steiner_scan");
+    for (VertexId u = 0; u < g_.vertex_count(); ++u) {
+      poller.poll();
+      if (sp.dist[static_cast<std::size_t>(u)] == kInf) continue;
+      Candidate c{kInf, u, 0, 0};
+      if (evaluate(want, c)) heap.push_back(c);
+    }
+    std::make_heap(heap.begin(), heap.end(), after);
+  }
+
+  std::size_t remaining = want;
+  for (std::uint32_t pass = 0; remaining > 0; ++pass) {
+    budget_.check("steiner");
+    Candidate best{kInf, kNoVertex, 0, 0};
+    {
+      const obs::Span span("steiner_scan");
+      support::Budget::Poller poller(budget_, "steiner_scan");
+      while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), after);
+        Candidate& top = heap.back();
+        if (top.pass == pass) {
+          // The winner stays in the heap, stale for the next pass.
+          best = top;
+          std::push_heap(heap.begin(), heap.end(), after);
+          break;
         }
-        if (dists.empty()) continue;
-        const std::size_t take = std::min(remaining, dists.size());
-        std::partial_sort(dists.begin(),
-                          dists.begin() + static_cast<std::ptrdiff_t>(take),
-                          dists.end());
-        double sum = to_u;
-        for (std::size_t kp = 1; kp <= take; ++kp) {
-          sum += dists[kp - 1];
-          const double density = sum / static_cast<double>(kp);
-          if (density < best.density) {
-            best.density = density;
-            best.u = u;
-            best.k = kp;
-          }
+        poller.poll();
+        if (evaluate(remaining, top)) {
+          top.pass = pass;
+          std::push_heap(heap.begin(), heap.end(), after);
+        } else {
+          heap.pop_back();  // no uncovered terminal reachable, ever again
         }
       }
-      return best;
-    };
-
-    Best best;
-    const auto n = static_cast<std::size_t>(g_.vertex_count());
-    if (pool_ != nullptr && n > 1) {
-      // Chunked scan: each chunk finds its local first-minimum; merging the
-      // chunk results in ascending-range order with strict < reproduces the
-      // serial winner exactly (including float-tie behavior).
-      const std::size_t chunks = std::min(n, pool_->thread_count() + 1);
-      const std::size_t per = (n + chunks - 1) / chunks;
-      std::vector<Best> local(chunks);
-      pool_->parallel_for(0, chunks, [&](std::size_t c) {
-        obs::Span chunk_span("steiner_density_scan");
-        const auto lo = static_cast<VertexId>(c * per);
-        const auto hi = static_cast<VertexId>(std::min(n, (c + 1) * per));
-        local[c] = scan_range(lo, hi);
-      }, budget_.cancel);
-      for (const Best& b : local)
-        if (b.density < best.density) best = b;
-    } else {
-      best = scan_range(0, g_.vertex_count());
     }
-    const VertexId best_u = best.u;
-    const std::size_t best_k = best.k;
 
-    if (best_u == kNoVertex) return;  // nothing more reachable
-    state.tree.add_path(sp, best_u);
+    if (best.u == kNoVertex) return;  // nothing more reachable
+    state.tree.add_path(sp, best.u);
     const std::size_t covered_before =
         static_cast<std::size_t>(std::count(state.covered.begin(),
                                             state.covered.end(), char{1}));
-    greedy_cover(state, best_u, level - 1, best_k);
+    greedy_cover(state, best.u, level - 1, best.k);
     const std::size_t covered_after =
         static_cast<std::size_t>(std::count(state.covered.begin(),
                                             state.covered.end(), char{1}));
@@ -283,48 +297,18 @@ SteinerResult SteinerSolver::recursive_greedy(
     if (t != root && seen.insert(t).second) state.terminals.push_back(t);
   state.covered.assign(state.terminals.size(), 0);
 
-  // dist(u → terminal) for every u, via Dijkstra on the reversed graph.
-  // Each run fills an indexed row and the work counters are summed in
-  // terminal order afterwards, so the pooled path is bit-identical (results
-  // and stats) to the serial one. Rows are transposed into the terminal-
-  // major matrix the density scan reads (one serial pass — the parallel
-  // runs never write shared cache lines).
-  const auto n = static_cast<std::size_t>(g_.vertex_count());
   term_count_ = state.terminals.size();
-  dist_to_term_.assign(n * term_count_, kInf);
-  const auto scatter_row = [&](std::size_t k, const std::vector<double>& d) {
-    for (std::size_t u = 0; u < n; ++u)
-      dist_to_term_[u * term_count_ + k] = d[u];
-  };
-  if (pool_ != nullptr && state.terminals.size() > 1) {
-    std::vector<ShortestPaths> runs(state.terminals.size());
-    pool_->parallel_for(0, state.terminals.size(), [&](std::size_t k) {
-      obs::Span run_span("steiner_reverse_dijkstra");
-      budget_.check("steiner");
-      auto ws = acquire_workspace();
-      runs[k] = dijkstra(reversed_, state.terminals[k], *ws);
-    }, budget_.cancel);
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      note_run(runs[k]);
-      scatter_row(k, runs[k].dist);
-    }
-    static obs::Counter& par_runs = obs::MetricsRegistry::global().counter(
-        obs::keys::kParallelSteinerDijkstras);
-    par_runs.add(state.terminals.size());
-  } else {
-    support::Budget::Poller poller(budget_, "steiner", /*stride=*/16);
-    for (std::size_t k = 0; k < state.terminals.size(); ++k) {
-      poller.poll();
-      const ShortestPaths sp = dijkstra(reversed_, state.terminals[k], *ws_);
-      note_run(sp);
-      scatter_row(k, sp.dist);
-    }
+  if (level >= 2) {
+    const obs::Span span("steiner_reverse");
+    if (!scc_) scc_ = scc_sinks_first(g_);
+    distances_to(g_, *scc_, state.terminals, budget_, dist_to_term_);
   }
 
   greedy_cover(state, root, level, state.terminals.size());
   dist_to_term_.clear();
   term_count_ = 0;
 
+  const obs::Span span("steiner_finalize");
   return finalize(state.tree, root, terminals, g_.vertex_count(), scratch_sub_,
                   *ws_);
 }

@@ -14,6 +14,12 @@
 //  * exact_small — Dreyfus–Wagner-style subset DP, exponential in |X|;
 //    ground truth for tests and for the approximation-ratio benches.
 //
+// recursive_greedy at level 2 runs four sub-phases, each an obs::Span under
+// the caller's `steiner` span (DESIGN.md "The Steiner search"):
+// steiner_reverse (all terminal distances in one reverse sweep,
+// graph/reverse_sweep.hpp), steiner_scan (the lazy density scan),
+// steiner_forward (the cached forward Dijkstra trees) and steiner_finalize.
+//
 // Memory layout (DESIGN.md "Data layout & hot-path memory"): all per-query
 // state is dense and index-addressed — the forward-tree cache is a slot
 // array into a stable deque, terminal distances live in one flat
@@ -23,10 +29,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/reverse_sweep.hpp"
 #include "graph/workspace_pool.hpp"
 #include "support/budget.hpp"
 #include "support/thread_pool.hpp"
@@ -56,18 +64,16 @@ class SteinerSolver {
   explicit SteinerSolver(const Digraph& g);
 
   /// Cooperative solve budget: the heuristic solvers poll it between
-  /// shortest-path runs and (via strided pollers) inside the density scans,
-  /// throwing support::TimeoutError on expiry and support::CancelledError
-  /// when the budget's cancel token fires. Default: unlimited.
+  /// shortest-path runs and (via strided pollers) per vertex in the reverse
+  /// sweep and the density scan, throwing support::TimeoutError on expiry
+  /// and support::CancelledError when the budget's cancel token fires.
+  /// Default: unlimited.
   void set_budget(support::Budget budget) { budget_ = std::move(budget); }
 
-  /// Optional worker pool for the embarrassingly parallel phases: the
-  /// per-terminal reverse Dijkstras and the level-2 density scan of
-  /// recursive_greedy, and exact_small's all-sources trees. Results are
-  /// bit-identical to the serial path — every parallel phase either writes
-  /// indexed slots or reduces chunk-local minima in serial chunk order (the
-  /// level-2 winner is the lexicographically first (u, k') attaining the
-  /// minimum density, same as the serial strict-< scan). nullptr = serial.
+  /// Optional worker pool for exact_small's all-sources Dijkstra trees,
+  /// each written to an indexed slot so results and stats are bit-identical
+  /// to the serial path; nullptr = serial. The heuristic solvers always run
+  /// serially.
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
   /// Union of shortest paths to each terminal, then non-terminal leaves are
@@ -93,9 +99,10 @@ class SteinerSolver {
   bool validate(const SteinerResult& r, VertexId root,
                 const std::vector<VertexId>& terminals) const;
 
-  /// Work counters of the most recent solver query (cached Dijkstra trees
-  /// count no work twice). Also accumulated into the global metrics
-  /// registry under tveg.steiner.*.
+  /// Work counters of the most recent solver query: heap Dijkstra runs
+  /// only (forward trees and exact_small's all-sources trees; cached trees
+  /// count no work twice, and the reverse sweep is not a Dijkstra run).
+  /// Also accumulated into the global metrics registry under tveg.steiner.*.
   struct QueryStats {
     std::size_t dijkstra_runs = 0;
     std::size_t nodes_expanded = 0;  ///< settled vertices across runs
@@ -118,6 +125,8 @@ class SteinerSolver {
   /// terminal-major at [u*term_count_ + k] so the density scan's inner loop
   /// over k is one contiguous read per vertex.
   std::vector<double> dist_to_term_;
+  /// The graph's components sinks first; built by the first level-2 query.
+  std::optional<SccOrder> scc_;
   std::size_t term_count_ = 0;
 
   struct GreedyState;
@@ -125,7 +134,6 @@ class SteinerSolver {
                     std::size_t want);
 
   const Digraph& g_;
-  Digraph reversed_;
   /// Forward-tree cache: forward_slot_[v] indexes forward_store_, -1 when
   /// absent. A deque so cached trees keep stable addresses while
   /// greedy_cover holds references across recursive inserts.
@@ -134,7 +142,7 @@ class SteinerSolver {
   /// Reusable scratch for finalize()'s subgraph cleanup pass.
   Digraph scratch_sub_;
   /// This solver's serial-phase workspace, leased for the solver lifetime;
-  /// parallel phases lease per-task workspaces from the same pool.
+  /// exact_small's pooled runs lease per-task workspaces from the same pool.
   WorkspaceHandle ws_;
 };
 

@@ -52,6 +52,9 @@ inline constexpr char kGraphFreezes[] = "tveg.graph.freezes";
 inline constexpr char kGraphFrozenArcs[] = "tveg.graph.frozen_arcs";
 
 // -- graph/steiner ----------------------------------------------------------
+// dijkstra_runs, nodes_expanded and relaxations count heap Dijkstra runs
+// only: forward trees and exact_small's all-sources trees. The reverse
+// sweep that yields recursive_greedy's terminal distances is not one.
 inline constexpr char kSteinerQueries[] = "tveg.steiner.queries";
 inline constexpr char kSteinerDijkstraRuns[] = "tveg.steiner.dijkstra_runs";
 inline constexpr char kSteinerNodesExpanded[] = "tveg.steiner.nodes_expanded";
@@ -65,6 +68,7 @@ inline constexpr char kSteinerHeapReuses[] = "tveg.steiner.heap.reuses";
 inline constexpr char kAllocSteadyState[] = "tveg.alloc.steady_state";
 
 // -- parallel phases --------------------------------------------------------
+/// exact_small's all-sources trees run on a SteinerSolver::set_pool pool.
 inline constexpr char kParallelSteinerDijkstras[] =
     "tveg.parallel.steiner_dijkstras";
 inline constexpr char kParallelAuxDcsTasks[] = "tveg.parallel.aux_dcs_tasks";

@@ -89,11 +89,11 @@ class Budget {
 /// Strided budget poller for hot loops: every poll() ticks the cancel
 /// token (relaxed load + heartbeat), but the clock is read only every
 /// `stride` polls — check() reads the clock on every call, which adds up
-/// when polled per inner iteration (the level-2 density scan visits every
-/// vertex per round). Detection latency is bounded by `stride` iterations,
-/// which the budgeted loops keep well under a millisecond of work. Create
-/// one per loop (or per parallel chunk — it is not thread-safe) and call
-/// poll() per iteration.
+/// when polled per inner iteration (the Steiner reverse sweep and the
+/// level-2 density scan's first pass visit every vertex). Detection
+/// latency is bounded by `stride` iterations, which the budgeted loops keep
+/// well under a millisecond of work. Create one per loop (or per parallel
+/// chunk — it is not thread-safe) and call poll() per iteration.
 class Budget::Poller {
  public:
   explicit Poller(const Budget& budget, const char* where,

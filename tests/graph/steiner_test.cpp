@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "core/aux_graph.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
+#include "sim/experiment.hpp"
+#include "trace/io.hpp"
 
 namespace tveg::graph {
 namespace {
@@ -203,6 +211,137 @@ TEST(Steiner, ExactRejectsTooManyTerminals) {
   std::vector<VertexId> terminals;
   for (VertexId v = 1; v < 19; ++v) terminals.push_back(v);
   EXPECT_THROW(solver.exact_small(0, terminals), std::invalid_argument);
+}
+
+bool has_arc(const SteinerResult& r, VertexId from, VertexId to) {
+  return std::any_of(r.arcs.begin(), r.arcs.end(), [&](const auto& arc) {
+    return arc.from == from && arc.to == to;
+  });
+}
+
+TEST(SteinerGreedyLevel2, EqualDensityAtTwoVerticesPicksTheLowerId) {
+  // Hubs 0 and 1 each reach both terminals for free behind an arc of cost
+  // 2: density 1 at either. The root is the highest id, and hub 1's arcs
+  // are inserted first, so only the id rule picks hub 0.
+  const VertexId h0 = 0, h1 = 1, t1 = 2, t2 = 3, root = 4;
+  Digraph g(5);
+  g.add_arc(root, h1, 2.0);
+  g.add_arc(h1, t1, 0.0);
+  g.add_arc(h1, t2, 0.0);
+  g.add_arc(root, h0, 2.0);
+  g.add_arc(h0, t1, 0.0);
+  g.add_arc(h0, t2, 0.0);
+  SteinerSolver solver(g);
+  const SteinerResult r = solver.recursive_greedy(root, {t1, t2}, 2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(has_arc(r, root, h0));
+  EXPECT_TRUE(has_arc(r, h0, t1));
+  EXPECT_TRUE(has_arc(r, h0, t2));
+  EXPECT_FALSE(has_arc(r, root, h1));
+  EXPECT_DOUBLE_EQ(r.cost, 2.0);
+}
+
+TEST(SteinerGreedyLevel2, EqualDensityAcrossCountsPicksTheSmallerCount) {
+  // Hub u: (2 + 1) / 1 == (2 + 1 + 3) / 2 == 3, so k' = 1 wins the tie
+  // and u's bunch covers t1 only. t2 then goes to v at density 4; the
+  // k' = 2 bunch would have routed it through u for a cheaper tree (6).
+  const VertexId u = 0, v = 1, t1 = 2, t2 = 3, root = 4;
+  Digraph g(5);
+  g.add_arc(root, u, 2.0);
+  g.add_arc(u, t1, 1.0);
+  g.add_arc(u, t2, 3.0);
+  g.add_arc(root, v, 4.0);
+  g.add_arc(v, t2, 0.0);
+  SteinerSolver solver(g);
+  const SteinerResult r = solver.recursive_greedy(root, {t1, t2}, 2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(has_arc(r, u, t1));
+  EXPECT_TRUE(has_arc(r, root, v));
+  EXPECT_TRUE(has_arc(r, v, t2));
+  EXPECT_FALSE(has_arc(r, u, t2));
+  EXPECT_DOUBLE_EQ(r.cost, 7.0);
+}
+
+TEST(SteinerGreedyLevel2, StaleBoundEqualToTheFreshWinnerIsReevaluated) {
+  // Pass 1 covers t_a through A (density 1). In pass 2, b's bound from
+  // pass 1 is 2 — equal to c's fresh density — and b has the lower id, so
+  // it pops first; re-evaluated without t_a it rises to 6 and c wins. Had
+  // the stale bound won, b's bunch would route t_b through b (cost 6);
+  // instead pass 3 gives t_b to d at density 5.5.
+  const VertexId b = 0, c = 1, a = 2, d = 3, t_a = 4, t_b = 5, t_c = 6,
+                 root = 7;
+  Digraph g(8);
+  g.add_arc(root, a, 1.0);
+  g.add_arc(a, t_a, 0.0);
+  g.add_arc(root, b, 2.0);
+  g.add_arc(b, t_a, 0.0);
+  g.add_arc(b, t_b, 4.0);
+  g.add_arc(root, c, 2.0);
+  g.add_arc(c, t_c, 0.0);
+  g.add_arc(root, d, 5.5);
+  g.add_arc(d, t_b, 0.0);
+  SteinerSolver solver(g);
+  const SteinerResult r = solver.recursive_greedy(root, {t_a, t_b, t_c}, 2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(has_arc(r, a, t_a));
+  EXPECT_TRUE(has_arc(r, c, t_c));
+  EXPECT_TRUE(has_arc(r, d, t_b));
+  EXPECT_FALSE(has_arc(r, b, t_b));
+  EXPECT_FALSE(has_arc(r, root, b));
+  EXPECT_DOUBLE_EQ(r.cost, 8.5);
+}
+
+/// The aux graph of the shipped N=20 trace at T=10000, source 0 — the
+/// instance `tmedb run data/haggle_like_n20.trace --deadline 10000` solves.
+struct HaggleN20 {
+  trace::ContactTrace trace = trace::read_trace_file(
+      std::string(TVEG_DATA_DIR) + "/haggle_like_n20.trace");
+  sim::Workbench bench{trace, sim::paper_radio()};
+  core::TmedbInstance instance = bench.step_instance(0, 10000);
+  core::AuxGraph aux{instance, bench.dts()};
+};
+
+TEST(SteinerGreedyLevel2, PinnedWorkCountersOnTheShippedN20Trace) {
+  // Only heap Dijkstra runs count: the forward trees from the root and the
+  // level-2 winners (the reverse sweep is not one). Any change to these
+  // numbers changes the solver's work and must be explained.
+  const HaggleN20 h;
+  SteinerSolver solver(h.aux.digraph());
+  const SteinerResult r = solver.recursive_greedy(
+      h.aux.source_vertex_for(0), h.aux.terminals_for(h.instance), 2);
+  EXPECT_TRUE(r.feasible);
+  const SteinerSolver::QueryStats& stats = solver.last_query_stats();
+  EXPECT_EQ(stats.dijkstra_runs, 7u);
+  EXPECT_EQ(stats.nodes_expanded, 421067u);
+  EXPECT_EQ(stats.relaxations, 421060u);
+}
+
+TEST(SteinerGreedyLevel2, SubPhaseSpansNestUnderSteiner) {
+  const HaggleN20 h;
+  SteinerSolver solver(h.aux.digraph());
+  obs::trace_reset();
+  obs::set_enabled(true);
+  {
+    const obs::Span span("steiner");
+    solver.recursive_greedy(h.aux.source_vertex_for(0),
+                            h.aux.terminals_for(h.instance), 2);
+  }
+  obs::set_enabled(false);
+  const std::vector<obs::TraceNodeSnapshot> roots = obs::trace_snapshot();
+  obs::trace_reset();
+  const auto steiner =
+      std::find_if(roots.begin(), roots.end(),
+                   [](const auto& node) { return node.name == "steiner"; });
+  ASSERT_NE(steiner, roots.end());
+  std::vector<std::string> children;
+  for (const obs::TraceNodeSnapshot& child : steiner->children) {
+    children.push_back(child.name);
+    EXPECT_GE(child.count, 1u) << child.name;
+  }
+  std::sort(children.begin(), children.end());
+  EXPECT_EQ(children, (std::vector<std::string>{
+                          "steiner_finalize", "steiner_forward",
+                          "steiner_reverse", "steiner_scan"}));
 }
 
 }  // namespace
