@@ -1,7 +1,7 @@
 // Microbenchmark — auxiliary-graph construction hot path (DESIGN.md "Data
 // layout & hot-path memory"): whole-build cost, the isolated CSR
-// stage+freeze step, the first solver query after a build (reversed-graph
-// construction + workspace acquisition), and schedule extraction's
+// stage+freeze step, the first solver query after a build (solver
+// construction + one forward Dijkstra), and schedule extraction's
 // arithmetic power-vertex decode. scripts/bench_gate.sh diffs these against
 // bench/baselines/BENCH_micro_aux.json.
 #include <benchmark/benchmark.h>
@@ -83,8 +83,8 @@ BENCHMARK(BM_AuxDigraphFreeze)->Arg(10)->Arg(20)->Arg(30);
 
 void BM_AuxFirstSolverQuery(benchmark::State& state) {
   // First query against a freshly built aux graph: SteinerSolver
-  // construction (pooled workspace acquire) plus the SPT heuristic — the
-  // latency a caller sees after AuxGraph construction.
+  // construction plus the SPT heuristic — the latency a caller sees after
+  // AuxGraph construction.
   Fixture f(static_cast<NodeId>(state.range(0)));
   double cost = 0;
   for (auto _ : state) {

@@ -24,8 +24,9 @@
 #          parallel-solve stress tests provoke the contention TSan needs
 #   soak   resource-governance soak: governed multi-worker sweeps through
 #          the real CLI across budget ladders (including a zero budget that
-#          sheds every request), both shed policies and a tight cache
-#          budget, plus the CancelStorm suite re-run on the TSan build
+#          sheds every request), both shed policies and a one-slot
+#          admission bound, plus the CancelStorm suite re-run on the TSan
+#          build
 #
 # Usage: scripts/ci.sh [--fast] [--bench]
 #   --fast   plain build + ctest + lint.sh --lint-only (skips obs, the

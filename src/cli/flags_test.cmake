@@ -85,8 +85,7 @@ endforeach()
 
 # The ladder runs with the workbench's scheduler options, so --threads
 # reaches its pooled aux-graph DCS precompute; the same run without
-# --threads fills the DCS serially and counts no pool task (an absent
-# counter was never incremented).
+# --threads fills the DCS serially and exports the counter as 0.
 foreach(threads 2 0)
   set(flags --threads ${threads})
   if(threads EQUAL 0)
@@ -104,11 +103,7 @@ foreach(threads 2 0)
     message(FATAL_ERROR "the ladder did not finish on EEDCB: ${out}")
   endif()
   file(READ ${WORKDIR}/flags_ladder_metrics_${threads}.json doc)
-  string(JSON tasks ERROR_VARIABLE json_err
-         GET "${doc}" metrics counters tveg.parallel.aux_dcs_tasks)
-  if(json_err)
-    set(tasks 0)
-  endif()
+  string(JSON tasks GET "${doc}" metrics counters tveg.parallel.aux_dcs_tasks)
   if(threads EQUAL 0 AND NOT tasks EQUAL 0)
     message(FATAL_ERROR
             "a run without --threads used the pool: aux_dcs_tasks=${tasks}")

@@ -70,14 +70,15 @@ AuxGraph::AuxGraph(const TmedbInstance& instance, const DiscreteTimeSet& dts,
     dcs_by_slot[s] =
         tveg.discrete_cost_set(static_cast<NodeId>(slots[s].i), slots[s].t);
   };
+  // Looked up before the branch so a serial build exports the key as 0.
+  static obs::Counter& par_tasks =
+      obs::MetricsRegistry::global().counter(obs::keys::kParallelAuxDcsTasks);
   if (options.pool != nullptr && slots.size() > 1) {
     obs::Span fill_span("aux_dcs_fill");
     options.pool->parallel_for(0, slots.size(), [&](std::size_t s) {
       options.budget.check("aux_dcs");
       fill(s);
     }, options.budget.cancel);
-    static obs::Counter& par_tasks =
-        obs::MetricsRegistry::global().counter(obs::keys::kParallelAuxDcsTasks);
     par_tasks.add(slots.size());
   } else {
     obs::Span fill_span("aux_dcs_fill");

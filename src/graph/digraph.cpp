@@ -1,6 +1,9 @@
 #include "graph/digraph.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <utility>
 
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
@@ -26,7 +29,10 @@ void Digraph::add_arc(VertexId from, VertexId to, double weight) {
   TVEG_REQUIRE(!frozen_, "cannot add arcs to a frozen graph");
   check_vertex(from);
   check_vertex(to);
-  TVEG_REQUIRE(weight >= 0, "arc weight must be non-negative");
+  // Finite: an infinite weight would relax nothing (inf < inf is false), so
+  // its head would read as unreached rather than reached at +inf.
+  TVEG_REQUIRE(weight >= 0 && std::isfinite(weight),
+               "arc weight must be finite and non-negative");
   staged_from_.push_back(from);
   staged_.push_back({to, weight});
 }
@@ -110,46 +116,7 @@ Digraph Digraph::reversed() const {
   return r;
 }
 
-namespace {
-
-// Shared Dijkstra core writing into caller-provided flat arrays. `heap` is a
-// min-heap over (dist, vertex) pairs maintained with push_heap/pop_heap and
-// std::greater<> — the exact algorithm std::priority_queue runs, so the pop
-// order (and therefore every tie-break downstream) is byte-identical to the
-// historical implementation.
-void dijkstra_core(const Digraph& g, VertexId src, double* dist,
-                   VertexId* parent,
-                   std::vector<std::pair<double, VertexId>>& heap,
-                   std::size_t& settled, std::size_t& relaxations) {
-  heap.clear();
-  heap.emplace_back(0.0, src);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    ++settled;
-    for (const Arc& a : g.out(u)) {
-      const double nd = d + a.weight;
-      if (nd < dist[static_cast<std::size_t>(a.to)]) {
-        dist[static_cast<std::size_t>(a.to)] = nd;
-        parent[static_cast<std::size_t>(a.to)] = u;
-        heap.emplace_back(nd, a.to);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        ++relaxations;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 ShortestPaths dijkstra(const Digraph& g, VertexId src) {
-  DijkstraWorkspace ws;
-  return dijkstra(g, src, ws);
-}
-
-ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
   const auto n = static_cast<std::size_t>(g.vertex_count());
   TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n,
                "source vertex out of range");
@@ -157,45 +124,29 @@ ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
   sp.dist.assign(n, support::kInf);
   sp.parent.assign(n, kNoVertex);
   sp.dist[static_cast<std::size_t>(src)] = 0;
-  dijkstra_core(g, src, sp.dist.data(), sp.parent.data(), ws.heap_,
-                sp.settled, sp.relaxations);
-  return sp;
-}
-
-void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
-  const auto n = static_cast<std::size_t>(g.vertex_count());
-  TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n,
-               "source vertex out of range");
-  ws.begin(n);
-  // The epoch-marked arrays cannot host the plain core loop (stale slots
-  // must read as +inf), so the relaxation test goes through the mark.
-  auto& heap = ws.heap_;
-  heap.clear();
-  const auto s = static_cast<std::size_t>(src);
-  ws.dist_[s] = 0;
-  ws.parent_[s] = kNoVertex;
-  ws.mark_[s] = ws.epoch_;
-  heap.emplace_back(0.0, src);
+  // A min-heap over (dist, vertex) pairs: push_heap/pop_heap with
+  // std::greater<>, the algorithm std::priority_queue runs. Its (dist, id)
+  // pop order and the strict `<` below fix every tie-break downstream.
+  std::vector<std::pair<double, VertexId>> heap{{0.0, src}};
   while (!heap.empty()) {
     const auto [d, u] = heap.front();
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
     heap.pop_back();
-    if (d > ws.dist_[static_cast<std::size_t>(u)]) continue;
-    ++ws.settled_;
+    if (d > sp.dist[static_cast<std::size_t>(u)]) continue;
+    ++sp.settled;
     for (const Arc& a : g.out(u)) {
       const auto t = static_cast<std::size_t>(a.to);
       const double nd = d + a.weight;
-      const bool fresh = ws.mark_[t] == ws.epoch_;
-      if (!fresh || nd < ws.dist_[t]) {
-        ws.dist_[t] = nd;
-        ws.parent_[t] = u;
-        ws.mark_[t] = ws.epoch_;
+      if (nd < sp.dist[t]) {
+        sp.dist[t] = nd;
+        sp.parent[t] = u;
         heap.emplace_back(nd, a.to);
         std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        ++ws.relaxations_;
+        ++sp.relaxations;
       }
     }
   }
+  return sp;
 }
 
 std::vector<VertexId> extract_path(const ShortestPaths& sp, VertexId dst) {

@@ -14,10 +14,8 @@
 // SteinerSolver both freeze eagerly at build time).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace tveg::graph {
@@ -33,7 +31,7 @@ struct Arc {
   double weight;
 };
 
-/// Build-then-freeze CSR digraph with non-negative arc weights.
+/// Build-then-freeze CSR digraph with finite, non-negative arc weights.
 class Digraph {
  public:
   Digraph() = default;
@@ -41,7 +39,7 @@ class Digraph {
 
   /// Appends a vertex, returning its id. Building-state only.
   VertexId add_vertex();
-  /// Adds an arc from → to with weight >= 0. Building-state only.
+  /// Adds an arc from → to with a finite weight >= 0. Building-state only.
   void add_arc(VertexId from, VertexId to, double weight);
   /// Reserves staging capacity for `arcs` arcs (one allocation up front;
   /// AuxGraph computes the exact count before assembly).
@@ -97,77 +95,11 @@ struct ShortestPaths {
   std::size_t relaxations = 0;    ///< successful distance improvements
 };
 
-/// Reusable Dijkstra scratch: the binary heap plus epoch-marked dist/parent
-/// arrays. One workspace serves one run at a time (not thread-safe); pooled
-/// workers each hold their own via support::ObjectPool. Buffers only grow,
-/// so steady-state runs allocate nothing.
-class DijkstraWorkspace {
- public:
-  /// Distance of the most recent dijkstra_scratch run; +inf if v was not
-  /// reached in that run (epoch-checked — stale runs never alias).
-  double dist(VertexId v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return mark_[i] == epoch_ ? dist_[i] : kInfDist;
-  }
-  /// Parent of v in the most recent dijkstra_scratch tree; kNoVertex for
-  /// the source and unreached vertices.
-  VertexId parent(VertexId v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return mark_[i] == epoch_ ? parent_[i] : kNoVertex;
-  }
-
-  std::size_t settled() const { return settled_; }
-  std::size_t relaxations() const { return relaxations_; }
-
-  /// Test hook: jump the epoch counter (e.g. to the wraparound boundary) to
-  /// prove stale marks never alias a fresh run.
-  void force_epoch_for_test(std::uint32_t epoch) { epoch_ = epoch; }
-  std::uint32_t epoch_for_test() const { return epoch_; }
-
- private:
-  friend ShortestPaths dijkstra(const Digraph& g, VertexId src,
-                                DijkstraWorkspace& ws);
-  friend void dijkstra_scratch(const Digraph& g, VertexId src,
-                               DijkstraWorkspace& ws);
-
-  static constexpr double kInfDist = __builtin_huge_val();
-
-  /// Opens a new epoch over `n` vertices: O(1) amortized — marks are
-  /// invalidated by the counter bump, not by clearing. On wraparound the
-  /// mark array is cleared once so epoch reuse can never alias a run from
-  /// 2^32 epochs ago.
-  void begin(std::size_t n) {
-    if (mark_.size() < n) mark_.resize(n, 0);
-    if (dist_.size() < n) dist_.resize(n, 0);
-    if (parent_.size() < n) parent_.resize(n, kNoVertex);
-    if (++epoch_ == 0) {
-      std::fill(mark_.begin(), mark_.end(), 0u);
-      epoch_ = 1;
-    }
-    settled_ = 0;
-    relaxations_ = 0;
-  }
-
-  std::vector<std::pair<double, VertexId>> heap_;
-  std::vector<double> dist_;
-  std::vector<VertexId> parent_;
-  std::vector<std::uint32_t> mark_;
-  std::uint32_t epoch_ = 0;
-  std::size_t settled_ = 0;
-  std::size_t relaxations_ = 0;
-};
-
-/// Dijkstra from src (weights must be non-negative).
+/// Dijkstra from src (weights must be non-negative). The heap pops in
+/// (dist, id) order and relaxes with a strict `<`, so among equal-cost
+/// paths a vertex keeps the parent that first reached it — the tie-break the
+/// forward trees, finalize() and the golden schedules depend on.
 ShortestPaths dijkstra(const Digraph& g, VertexId src);
-
-/// As above, reusing `ws`'s heap storage; the returned tree owns its own
-/// dist/parent arrays (callers cache them). Byte-identical to the
-/// workspace-free overload.
-ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
-
-/// Allocation-free variant for scratch queries whose tree is consumed
-/// immediately: results live in `ws` (dist()/parent()) until its next run.
-void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
 
 /// Vertex sequence src..dst from a ShortestPaths tree; empty if unreachable.
 std::vector<VertexId> extract_path(const ShortestPaths& sp, VertexId dst);

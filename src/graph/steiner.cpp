@@ -27,7 +27,7 @@ std::uint64_t arc_key(VertexId from, VertexId to) {
 // Deliberately still an unordered_map: finalize() replays its iteration
 // order into the scratch Digraph, and that order feeds the cleanup
 // Dijkstra's tie-breaking — swapping the container would silently change
-// golden schedules. Local per query, never on the steady-state alloc path.
+// golden schedules. Local per query.
 struct TreeBuilder {
   std::unordered_map<std::uint64_t, double> arcs;
 
@@ -50,12 +50,11 @@ struct TreeBuilder {
 
 /// Converts an arbitrary selected subgraph into a clean arborescence: runs
 /// Dijkstra inside the subgraph from the root, keeps only arcs on the
-/// resulting paths to terminals. Never increases the cost. `scratch` and
-/// `ws` are reused across queries (reset per call, capacity kept).
+/// resulting paths to terminals. Never increases the cost. `scratch` is
+/// reused across queries (reset per call, capacity kept).
 SteinerResult finalize(const TreeBuilder& builder, VertexId root,
                        const std::vector<VertexId>& terminals,
-                       VertexId vertex_count, Digraph& scratch,
-                       DijkstraWorkspace& ws) {
+                       VertexId vertex_count, Digraph& scratch) {
   scratch.reset(vertex_count);
   scratch.reserve_arcs(builder.arcs.size());
   for (const auto& [key, w] : builder.arcs)
@@ -63,22 +62,23 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
                     static_cast<VertexId>(key & 0xffffffffu), w);
   scratch.freeze();
 
-  dijkstra_scratch(scratch, root, ws);
+  const ShortestPaths sp = dijkstra(scratch, root);
 
   SteinerResult result;
   result.feasible = true;
   std::unordered_set<std::uint64_t> kept;
   for (VertexId t : terminals) {
-    if (ws.dist(t) == kInf) {
+    if (sp.dist[static_cast<std::size_t>(t)] == kInf) {
       result.feasible = false;
       continue;
     }
     VertexId cur = t;
-    while (ws.parent(cur) != kNoVertex) {
-      const VertexId p = ws.parent(cur);
+    while (sp.parent[static_cast<std::size_t>(cur)] != kNoVertex) {
+      const VertexId p = sp.parent[static_cast<std::size_t>(cur)];
       const std::uint64_t key = arc_key(p, cur);
       if (kept.insert(key).second) {
-        const double w = ws.dist(cur) - ws.dist(p);
+        const double w = sp.dist[static_cast<std::size_t>(cur)] -
+                         sp.dist[static_cast<std::size_t>(p)];
         result.arcs.push_back({p, cur, w});
         result.cost += w;
       }
@@ -92,8 +92,7 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
 
 SteinerSolver::SteinerSolver(const Digraph& g)
     : g_(g),
-      forward_slot_(static_cast<std::size_t>(g.vertex_count()), -1),
-      ws_(acquire_workspace()) {
+      forward_slot_(static_cast<std::size_t>(g.vertex_count()), -1) {
   g_.ensure_frozen();
 }
 
@@ -132,7 +131,7 @@ const ShortestPaths& SteinerSolver::forward_from(VertexId v) {
     budget_.check("steiner");
     const obs::Span span("steiner_forward");
     slot = static_cast<std::int32_t>(forward_store_.size());
-    forward_store_.push_back(dijkstra(g_, v, *ws_));
+    forward_store_.push_back(dijkstra(g_, v));
     forward_slot_[i] = slot;
     note_run(forward_store_.back());
   }
@@ -149,7 +148,7 @@ SteinerResult SteinerSolver::shortest_path_heuristic(
       builder.add_path(sp, t);
   const obs::Span span("steiner_finalize");
   SteinerResult result = finalize(builder, root, terminals, g_.vertex_count(),
-                                  scratch_sub_, *ws_);
+                                  scratch_sub_);
   for (VertexId t : terminals)
     if (sp.dist[static_cast<std::size_t>(t)] == kInf) result.feasible = false;
   return result;
@@ -309,13 +308,15 @@ SteinerResult SteinerSolver::recursive_greedy(
   term_count_ = 0;
 
   const obs::Span span("steiner_finalize");
-  return finalize(state.tree, root, terminals, g_.vertex_count(), scratch_sub_,
-                  *ws_);
+  return finalize(state.tree, root, terminals, g_.vertex_count(), scratch_sub_);
 }
 
 SteinerResult SteinerSolver::exact_small(
     VertexId root, const std::vector<VertexId>& terminals) {
   const QueryScope scope(*this);
+  // Looked up before any branch so a serial run exports the key as 0.
+  static obs::Counter& par_runs = obs::MetricsRegistry::global().counter(
+      obs::keys::kParallelSteinerDijkstras);
   std::vector<VertexId> terms;
   std::unordered_set<VertexId> seen;
   for (VertexId t : terminals)
@@ -340,18 +341,15 @@ SteinerResult SteinerSolver::exact_small(
     pool_->parallel_for(0, n, [&](std::size_t v) {
       obs::Span run_span("steiner_all_source");
       budget_.check("steiner_all_source");
-      auto ws = acquire_workspace();
-      sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws);
+      sp[v] = dijkstra(g_, static_cast<VertexId>(v));
     }, budget_.cancel);
-    static obs::Counter& par_runs = obs::MetricsRegistry::global().counter(
-        obs::keys::kParallelSteinerDijkstras);
     par_runs.add(n);
   } else {
     support::Budget::Poller poller(budget_, "steiner_all_source",
                                    /*stride=*/16);
     for (std::size_t v = 0; v < n; ++v) {
       poller.poll();
-      sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws_);
+      sp[v] = dijkstra(g_, static_cast<VertexId>(v));
     }
   }
   for (std::size_t v = 0; v < n; ++v) note_run(sp[v]);
@@ -441,8 +439,7 @@ SteinerResult SteinerSolver::exact_small(
     }
   }
 
-  r = finalize(builder, root, terminals, g_.vertex_count(), scratch_sub_,
-               *ws_);
+  r = finalize(builder, root, terminals, g_.vertex_count(), scratch_sub_);
   TVEG_ASSERT_MSG(r.feasible, "exact reconstruction lost a terminal");
   // Shared arcs can only make the realized tree cheaper than the DP value,
   // and no tree beats the optimum — so they must agree.

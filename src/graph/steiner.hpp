@@ -22,9 +22,9 @@
 //
 // Memory layout (DESIGN.md "Data layout & hot-path memory"): all per-query
 // state is dense and index-addressed — the forward-tree cache is a slot
-// array into a stable deque, terminal distances live in one flat
-// terminal-major matrix, and every Dijkstra runs on a pooled workspace — so
-// repeated queries against one solver allocate nothing in steady state.
+// array into a stable deque and terminal distances live in one flat
+// terminal-major matrix. Each Dijkstra run allocates its own dist/parent
+// arrays and heap (graph::dijkstra); a cached forward tree keeps its arrays.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@
 
 #include "graph/digraph.hpp"
 #include "graph/reverse_sweep.hpp"
-#include "graph/workspace_pool.hpp"
 #include "support/budget.hpp"
 #include "support/thread_pool.hpp"
 
@@ -141,9 +140,6 @@ class SteinerSolver {
   std::deque<ShortestPaths> forward_store_;
   /// Reusable scratch for finalize()'s subgraph cleanup pass.
   Digraph scratch_sub_;
-  /// This solver's serial-phase workspace, leased for the solver lifetime;
-  /// exact_small's pooled runs lease per-task workspaces from the same pool.
-  WorkspaceHandle ws_;
 };
 
 }  // namespace tveg::graph

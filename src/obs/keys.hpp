@@ -59,15 +59,9 @@ inline constexpr char kSteinerQueries[] = "tveg.steiner.queries";
 inline constexpr char kSteinerDijkstraRuns[] = "tveg.steiner.dijkstra_runs";
 inline constexpr char kSteinerNodesExpanded[] = "tveg.steiner.nodes_expanded";
 inline constexpr char kSteinerRelaxations[] = "tveg.steiner.relaxations";
-inline constexpr char kSteinerHeapAcquires[] = "tveg.steiner.heap.acquires";
-inline constexpr char kSteinerHeapReuses[] = "tveg.steiner.heap.reuses";
-
-// -- support/object_pool ----------------------------------------------------
-/// Objects constructed by workspace pools after warmup: zero in steady
-/// state (asserted by tests/perf/steady_state_alloc_test).
-inline constexpr char kAllocSteadyState[] = "tveg.alloc.steady_state";
 
 // -- parallel phases --------------------------------------------------------
+// Each is looked up before its pooled branch, so a serial run exports 0.
 /// exact_small's all-sources trees run on a SteinerSolver::set_pool pool.
 inline constexpr char kParallelSteinerDijkstras[] =
     "tveg.parallel.steiner_dijkstras";

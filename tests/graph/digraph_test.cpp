@@ -26,6 +26,8 @@ TEST(Digraph, ArcsAreDirected) {
 TEST(Digraph, RejectsNegativeWeightAndBadVertices) {
   Digraph g(2);
   EXPECT_THROW(g.add_arc(0, 1, -1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_arc(0, 1, INFINITY), std::invalid_argument);
+  EXPECT_THROW(g.add_arc(0, 1, NAN), std::invalid_argument);
   EXPECT_THROW(g.add_arc(0, 5, 1.0), std::invalid_argument);
   EXPECT_THROW(g.out(9), std::invalid_argument);
 }
@@ -162,64 +164,26 @@ TEST(Digraph, ReversedKeepsSourcePositionOrder) {
   EXPECT_DOUBLE_EQ(r.out(3)[3].weight, 4.0);
 }
 
-TEST(DijkstraWorkspace, ReuseIsByteIdentical) {
+TEST(Dijkstra, EqualCostTiesKeepTheFirstSettledParent) {
+  // 3 is reached at cost 2 through 1 and through 2. The arcs to 2 are added
+  // first, but the heap pops equal distances in vertex-id order, so 1 is
+  // settled first and the strict `<` relaxation keeps it as 3's parent.
   Digraph g(5);
+  g.add_arc(0, 2, 1.0);
   g.add_arc(0, 1, 1.0);
-  g.add_arc(0, 2, 4.0);
-  g.add_arc(1, 2, 2.0);
   g.add_arc(2, 3, 1.0);
-  g.add_arc(1, 3, 6.0);
-  const ShortestPaths fresh = dijkstra(g, 0);
-  DijkstraWorkspace ws;
-  for (int round = 0; round < 3; ++round) {
-    const ShortestPaths reused = dijkstra(g, 0, ws);
-    EXPECT_EQ(reused.dist, fresh.dist) << "round " << round;
-    EXPECT_EQ(reused.parent, fresh.parent) << "round " << round;
-    EXPECT_EQ(reused.settled, fresh.settled) << "round " << round;
-    EXPECT_EQ(reused.relaxations, fresh.relaxations) << "round " << round;
-  }
-}
-
-TEST(DijkstraWorkspace, ScratchResultsMatchOwnedResults) {
-  Digraph g(4);
-  g.add_arc(0, 1, 1.5);
-  g.add_arc(1, 2, 0.5);
+  g.add_arc(1, 3, 1.0);
+  // 4 ties through a zero-weight arc from 3 and a direct arc from 0.
+  g.add_arc(0, 4, 2.0);
+  g.add_arc(3, 4, 0.0);
   const ShortestPaths sp = dijkstra(g, 0);
-  DijkstraWorkspace ws;
-  dijkstra_scratch(g, 0, ws);
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    EXPECT_DOUBLE_EQ(ws.dist(v), sp.dist[static_cast<std::size_t>(v)]);
-    EXPECT_EQ(ws.parent(v), sp.parent[static_cast<std::size_t>(v)]);
-  }
-  EXPECT_EQ(ws.settled(), sp.settled);
-  EXPECT_EQ(ws.relaxations(), sp.relaxations);
-}
-
-TEST(DijkstraWorkspace, EpochRolloverNeverAliasesStaleState) {
-  // Run once from source 0, then force the epoch counter to the wraparound
-  // boundary and run from source 3 on a different graph shape: state marked
-  // in earlier epochs must read as unreached, not leak through the wrap.
-  Digraph a(4);
-  a.add_arc(0, 1, 1.0);
-  a.add_arc(1, 2, 1.0);
-  DijkstraWorkspace ws;
-  dijkstra_scratch(a, 0, ws);
-  EXPECT_DOUBLE_EQ(ws.dist(2), 2.0);
-
-  ws.force_epoch_for_test(0xffffffffu);  // next begin() wraps to epoch 1
-  Digraph b(4);
-  b.add_arc(3, 2, 5.0);
-  dijkstra_scratch(b, 3, ws);
-  EXPECT_EQ(ws.epoch_for_test(), 1u);
-  EXPECT_DOUBLE_EQ(ws.dist(3), 0.0);
-  EXPECT_DOUBLE_EQ(ws.dist(2), 5.0);
-  // Vertices only reached in the pre-wrap run: stale, not aliased. (Their
-  // marks were written at earlier epochs, which a wrapped counter could
-  // collide with if begin() did not clear on wrap.)
-  EXPECT_TRUE(std::isinf(ws.dist(0)));
-  EXPECT_TRUE(std::isinf(ws.dist(1)));
-  EXPECT_EQ(ws.parent(0), kNoVertex);
-  EXPECT_EQ(ws.parent(1), kNoVertex);
+  EXPECT_EQ(sp.dist[3], 2.0);
+  EXPECT_EQ(sp.parent[3], 1);
+  EXPECT_EQ(sp.dist[4], 2.0);
+  EXPECT_EQ(sp.parent[4], 0);
+  EXPECT_EQ(extract_path(sp, 4), (std::vector<VertexId>{0, 4}));
+  EXPECT_EQ(sp.settled, 5u);
+  EXPECT_EQ(sp.relaxations, 4u);
 }
 
 }  // namespace

@@ -12,8 +12,6 @@
 
 #include "core/eedcb.hpp"
 #include "obs/json.hpp"
-#include "obs/keys.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "trace/generators.hpp"
@@ -120,35 +118,6 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
       << "disabled spans cost " << overhead_ns / 1e6 << " ms against a "
       << solve_ns / 1e6 << " ms solve (" << spans << " spans at "
       << per_span_ns << " ns)";
-}
-
-TEST(Overhead, SteadyStateSolvesAllocateNoWorkspaces) {
-  // tveg.alloc.steady_state counts Dijkstra workspace *creations* (pool
-  // misses). The first solve may populate the pool; after that warmup, a
-  // serial solve loop must run entirely off reused workspaces — the counter
-  // delta over the steady-state window is exactly zero.
-  trace::SnapshotConfig cfg;
-  cfg.nodes = 10;
-  cfg.slot = 20;
-  cfg.horizon = 200;
-  cfg.p = 0.3;
-  cfg.seed = 5;
-  const trace::ContactTrace t = trace::generate_snapshots(cfg);
-  const core::Tveg tveg(t, unit_radio(),
-                        {.model = channel::ChannelModel::kStep});
-  const core::TmedbInstance inst{&tveg, 0, 200.0};
-  const DiscreteTimeSet dts = tveg.build_dts();
-
-  run_solve(inst, dts);  // warmup: allowed to create pool entries
-
-  auto& alloc = MetricsRegistry::global().counter(keys::kAllocSteadyState);
-  const std::uint64_t before = alloc.value();
-  core::SchedulerResult last;
-  for (int rep = 0; rep < 5; ++rep) last = run_solve(inst, dts);
-  EXPECT_TRUE(last.covered_all);
-  EXPECT_EQ(alloc.value() - before, 0u)
-      << "steady-state solves created new Dijkstra workspaces instead of "
-         "reusing the pool";
 }
 
 }  // namespace
